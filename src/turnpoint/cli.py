@@ -9,6 +9,7 @@ input.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
@@ -76,6 +77,10 @@ def format_float(value: float) -> str:
     return format(value, ".17g")
 
 
+# json.dumps(value, ensure_ascii=False) without building an encoder per call
+_json_string = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def to_json(value, indent: int = 0) -> str:
     """Minimal JSON emitter with stable key order and .17g floats."""
     pad = "  " * indent
@@ -97,8 +102,7 @@ def to_json(value, indent: int = 0) -> str:
     if isinstance(value, float):
         return format_float(value)
     if isinstance(value, str):
-        escaped = value.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
+        return _json_string(value)
     if value is None:
         return "null"
     raise TypeError(f"cannot serialize {type(value).__name__}")

@@ -16,7 +16,9 @@ a constant {pi, e}, or the variable x.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import EvalError, ExpressionSyntaxError, UnknownIdentifier
 
@@ -199,78 +201,130 @@ def parse(source: str) -> ExprAst:
     return node
 
 
+def compile(ast: ExprAst) -> Callable[[float], float]:
+    """Evaluator for the AST, built once as nested closures.
+
+    Each closure does what a walk of its node would: children left to
+    right, then the same float operation and the same EvalError checks, so
+    results are bit-identical to a tree walk. The result must be finite.
+    """
+    body = _compile(ast)
+
+    def evaluate(x: float) -> float:
+        result = body(x)
+        if not math.isfinite(result):
+            raise EvalError(f"non-finite result at x={x}")
+        return result
+
+    return evaluate
+
+
 def evaluate(ast: ExprAst, x: float) -> float:
-    """Evaluate the AST at x. Raises EvalError at poles and domain violations."""
-    result = _eval(ast, x)
-    if not math.isfinite(result):
-        raise EvalError(f"non-finite result at x={x}")
-    return result
+    """Evaluate the AST at x. Raises EvalError at poles and domain violations.
+
+    Compiles on every call; compile once to evaluate repeatedly.
+    """
+    return compile(ast)(x)
 
 
-def _eval(node: ExprAst, x: float) -> float:
+def _compile(node: ExprAst) -> Callable[[float], float]:
     if isinstance(node, Number):
-        return node.value
+        value = node.value
+        return lambda x: value
     if isinstance(node, Variable):
-        return x
+        return lambda x: x
     if isinstance(node, Constant):
-        return CONSTANTS[node.name]
+        value = CONSTANTS[node.name]
+        return lambda x: value
     if isinstance(node, Unary):
-        v = _eval(node.child, x)
-        return _apply_unary(node.op, v, x)
+        child = _compile(node.child)
+        if node.op in _PLAIN:
+            op = _PLAIN[node.op]
+            return lambda x: op(child(x))
+        return _CHECKED[node.op](child)
     if isinstance(node, Binary):
-        left = _eval(node.left, x)
-        right = _eval(node.right, x)
-        return _apply_binary(node.op, left, right, x)
+        left, right = _compile(node.left), _compile(node.right)
+        if node.op in _PLAIN:
+            op = _PLAIN[node.op]
+            return lambda x: op(left(x), right(x))
+        return _CHECKED[node.op](left, right)
     raise TypeError(f"unexpected AST node {node!r}")
 
 
-def _apply_unary(op: str, v: float, x: float) -> float:
-    if op == "neg":
-        return -v
-    if op == "sin":
-        return math.sin(v)
-    if op == "cos":
-        return math.cos(v)
-    if op == "tan":
-        out = math.tan(v)
+# operations that cannot raise EvalError; the others build their own closure
+_PLAIN = {
+    "neg": operator.neg, "sin": math.sin, "cos": math.cos, "abs": abs,
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+}
+
+
+def _tan(f):
+    def tan(x):
+        out = math.tan(f(x))
         if not math.isfinite(out):
             raise EvalError(f"tan pole at x={x}")
         return out
-    if op == "cot":
+
+    return tan
+
+
+def _cot(f):
+    def cot(x):
+        v = f(x)
         s = math.sin(v)
         if s == 0.0:
             raise EvalError(f"cot pole at x={x}")
         return math.cos(v) / s
-    if op == "sqrt":
+
+    return cot
+
+
+def _sqrt(f):
+    def sqrt(x):
+        v = f(x)
         if v < 0.0:
             raise EvalError(f"sqrt of negative value {v} at x={x}")
         return math.sqrt(v)
-    if op == "exp":
+
+    return sqrt
+
+
+def _exp(f):
+    def exp(x):
+        v = f(x)
         try:
             return math.exp(v)
         except OverflowError:
             raise EvalError(f"exp overflow at x={x}") from None
-    if op == "ln":
+
+    return exp
+
+
+def _ln(f):
+    def ln(x):
+        v = f(x)
         if v <= 0.0:
             raise EvalError(f"ln of non-positive value {v} at x={x}")
         return math.log(v)
-    if op == "abs":
-        return abs(v)
-    raise TypeError(f"unknown unary op {op!r}")
+
+    return ln
 
 
-def _apply_binary(op: str, left: float, right: float, x: float) -> float:
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
+def _div(f, g):
+    def div(x):
+        left = f(x)
+        right = g(x)
         if right == 0.0:
             raise EvalError(f"division by zero at x={x}")
         return left / right
-    if op == "^":
+
+    return div
+
+
+def _pow(f, g):
+    def power(x):
+        left = f(x)
+        right = g(x)
         try:
             out = left ** right
         except (OverflowError, ZeroDivisionError, ValueError):
@@ -278,4 +332,8 @@ def _apply_binary(op: str, left: float, right: float, x: float) -> float:
         if isinstance(out, complex):
             raise EvalError(f"complex power {left}^{right} at x={x}")
         return out
-    raise TypeError(f"unknown binary op {op!r}")
+
+    return power
+
+
+_CHECKED = {"tan": _tan, "cot": _cot, "sqrt": _sqrt, "exp": _exp, "ln": _ln, "/": _div, "^": _pow}

@@ -5,16 +5,24 @@ self-consistent scalar-equation solver behind every implicit energy formula.
 Bisection is used everywhere instead of Newton or secant steps: the
 integrands and residuals here have kinks (|x|) and poles (cot^2), and
 robustness beats speed at this problem scale.
+
+Brackets come from one sign-change rule, `sign_changes`, applied to a scan
+given as arrays of abscissae and values with NaN at the points that could
+not be evaluated. `bracket_roots` scans a callable with it, and the solver
+applies it to E - U read from its per-solve table of U.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
+
+import numpy as np
 
 from .errors import (
     ConvergenceFailure,
+    InvalidInput,
     MaxIterationsExceeded,
     QuadratureDivergence,
     TurnpointError,
@@ -53,10 +61,11 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("root_abs", "root_rel", "quad_rel", "energy_rel"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+            value = getattr(self, name)
+            if not (value > 0.0 and math.isfinite(value)):
+                raise InvalidInput(f"{name} must be positive and finite, got {value}")
         if self.quad_max_depth < 10:
-            raise ValueError("quad_max_depth must be >= 10")
+            raise InvalidInput("quad_max_depth must be >= 10")
 
 
 def bracket_roots(
@@ -72,30 +81,38 @@ def bracket_roots(
     if n_grid < 2:
         raise ValueError("n_grid must be >= 2")
     xs = [lo + (hi - lo) * i / n_grid for i in range(n_grid + 1)]
-    values: list[float | None] = []
+    return sign_changes(xs, tabulate(f, xs))
+
+
+def tabulate(f: Callable[[float], float], xs: Sequence[float]) -> np.ndarray:
+    """f at each x, NaN where f raises an evaluation error."""
+    values = []
     for x in xs:
         try:
-            v = f(x)
-            values.append(v if math.isfinite(v) else None)
+            values.append(f(x))
         except _EVAL_ERRORS:
-            values.append(None)
-    out: list[Bracket] = []
-    for i in range(n_grid):
-        a, b = values[i], values[i + 1]
-        if a is None or b is None:
-            continue
-        if a == 0.0:
-            # exact hit: emit a degenerate-width bracket against the neighbor
-            if b != 0.0:
-                out.append(Bracket(xs[i], xs[i + 1], a, b))
-            continue
-        if b == 0.0:
-            continue  # will be emitted by the next pair (or stands alone at hi)
-        if (a > 0.0) != (b > 0.0):
-            out.append(Bracket(xs[i], xs[i + 1], a, b))
-    if values[-1] == 0.0 and values[-2] is not None and values[-2] != 0.0:
-        out.append(Bracket(xs[-2], xs[-1], values[-2], values[-1]))
-    return out
+            values.append(math.nan)
+    return np.array(values, dtype=float)
+
+
+def sign_changes(xs: Sequence[float], values: np.ndarray) -> list[Bracket]:
+    """Brackets between neighbouring scan points where the values change sign.
+
+    Non-finite values are skipped points: no bracket touches them. A pair
+    whose left value is exactly zero gives a degenerate-width bracket
+    against its nonzero neighbour; a zero on the right is left to the next
+    pair, except at the last point, where it pairs with the one before.
+    """
+    sign = np.where(np.isfinite(values), np.sign(values), np.nan)
+    right = sign[1:]
+    # a NaN sign makes the product NaN, and NaN <= 0 is false
+    idx = ((sign[:-1] * right <= 0.0) & (right != 0.0)).nonzero()[0].tolist()
+    if values[-1] == 0.0 and math.isfinite(values[-2]) and values[-2] != 0.0:
+        idx.append(len(values) - 2)
+    return [
+        Bracket(float(xs[i]), float(xs[i + 1]), float(values[i]), float(values[i + 1]))
+        for i in idx
+    ]
 
 
 def bisect(f: Callable[[float], float], b: Bracket, tol: Tolerances | None = None) -> float:

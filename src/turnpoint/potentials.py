@@ -11,7 +11,8 @@ bracketing never sample infinite values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
+from typing import Callable
 
 from . import expressions
 from .errors import DomainError, InvalidEnergy, InvalidInput, SpecParseError
@@ -162,10 +163,22 @@ class Step(PotentialSpec):
 
 @dataclass(frozen=True)
 class Expression(PotentialSpec):
+    """U(x) given by an expression AST on a finite domain."""
+
     ast: expressions.ExprAst
     dom: Domain
     source: str = ""
+    compiled: Callable[[float], float] = field(init=False, repr=False, compare=False)
     kind = "expr"
+
+    def __post_init__(self):
+        if not (math.isfinite(self.dom.lo) and math.isfinite(self.dom.hi)):
+            raise InvalidInput(f"expression domain must be finite, got [{self.dom.lo}, {self.dom.hi}]")
+        object.__setattr__(self, "compiled", expressions.compile(self.ast))
+
+    def __reduce__(self):
+        # closures do not pickle; the copy compiles its own
+        return (Expression, (self.ast, self.dom, self.source))
 
 
 def domain_of(spec: PotentialSpec) -> Domain:
@@ -213,7 +226,7 @@ def evaluate(spec: PotentialSpec, x: float, units: UnitSystem | None = None) -> 
     if isinstance(spec, Expression):
         if not spec.dom.contains(x):
             raise DomainError(f"x={x} outside the expression domain [{spec.dom.lo}, {spec.dom.hi}]")
-        return expressions.evaluate(spec.ast, x)
+        return spec.compiled(x)
     raise TypeError(f"unknown potential spec {spec!r}")
 
 
@@ -222,15 +235,13 @@ def u_min(spec: PotentialSpec) -> float:
     if isinstance(spec, QuadraticInverse):
         return 2.0 * math.sqrt(spec.a * spec.b)
     if isinstance(spec, Expression):
-        dom = spec.dom
-        lo = dom.lo if math.isfinite(dom.lo) else -100.0
-        hi = dom.hi if math.isfinite(dom.hi) else 100.0
+        lo, hi = spec.dom.lo, spec.dom.hi
         best = math.inf
         n = 512
         for i in range(1, n):
             x = lo + (hi - lo) * i / n
             try:
-                best = min(best, expressions.evaluate(spec.ast, x))
+                best = min(best, spec.compiled(x))
             except Exception:
                 continue
         if not math.isfinite(best):
@@ -255,10 +266,7 @@ def characteristic_width(spec: PotentialSpec, units: UnitSystem) -> float:
     if isinstance(spec, QuadraticInverse):
         return (spec.b / spec.a) ** 0.25
     if isinstance(spec, Expression):
-        dom = spec.dom
-        lo = dom.lo if math.isfinite(dom.lo) else -100.0
-        hi = dom.hi if math.isfinite(dom.hi) else 100.0
-        return (hi - lo) / 10.0
+        return (spec.dom.hi - spec.dom.lo) / 10.0
     return 1.0
 
 
@@ -380,6 +388,8 @@ def parse_potential_spec(text: str) -> PotentialSpec:
             lo, hi = float(lo_text), float(hi_text)
         except ValueError:
             raise SpecParseError(f"non-numeric domain bounds in {span!r}") from None
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise SpecParseError(f"domain bounds must be finite, got {span!r}")
         if not lo < hi:
             raise SpecParseError(f"empty domain [{lo}, {hi}]")
         ast = expressions.parse(expr_src)

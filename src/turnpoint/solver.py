@@ -8,6 +8,12 @@ odd n, sine for even n), with K = m1*sqrt(E) and d the turning-point width
 evaluated at the same energy. Widths depend on the unknown energy, so every
 level is a root of a scalar residual, solved by bracketing and bisection
 rather than fixed-point iteration (the right-hand sides need not contract).
+
+Wells without closed-form turning points (expressions, the step) find them
+from sign changes of E - U(x) on a grid. U does not depend on E, so each
+level solve tabulates U once, on the 4097-point grid that the finest scan
+uses, and every trial energy reads its scans from that table; only the
+bisections for the turning points evaluate U anew.
 """
 
 from __future__ import annotations
@@ -15,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
+
+import numpy as np
 
 from . import numerics, potentials
 from .errors import (
@@ -30,6 +38,7 @@ from .potentials import PotentialSpec, TurningPoints, UnitSystem
 VARIANTS = ("symmetric", "antisymmetric", "general")
 
 _TINY_WIDTH = 1e-12
+_SCAN_GRIDS = (256, 512, 1024, 2048, 4096)  # turning-point scans, coarse to fine
 
 
 @dataclass(frozen=True)
@@ -99,38 +108,77 @@ class WaveFunctionDescriptor:
         return self.amplitude * self.trig_factor(x) * math.exp(-self.q_eval(x))
 
 
+class _UTable:
+    """U(x) of one (spec, units) on the dyadic grid lo + (hi - lo) * j / 4096.
+
+    U does not depend on E, so one table serves every turning-point scan of
+    a solve. A scan on n_grid points reads every (4096 // n_grid)-th entry:
+    the 257-point grid first, then the odd multiples of 8, 4, 2 and 1, each
+    filled only when the scan first needs it. A scan computes its abscissae
+    with bracket_roots' formula, and i / n_grid == (i * 4096 / n_grid) / 4096
+    exactly, so the shared entries sit at bit-identical x; an entry whose x
+    differs (a grid outside the normal float range) is evaluated again.
+    Scanning the table therefore gives exactly the brackets bracket_roots
+    gives on f(x) = E - U(x).
+    """
+
+    def __init__(self, spec: PotentialSpec, units: UnitSystem):
+        self.spec, self.units = spec, units
+        self.x = self.u = None  # allocated by the first scan; closed forms never scan
+
+    def brackets(self, E: float, n_grid: int) -> list[numerics.Bracket]:
+        if self.u is None:
+            dom = potentials.domain_of(self.spec)
+            self.lo = dom.lo if math.isfinite(dom.lo) else -100.0
+            self.hi = dom.hi if math.isfinite(dom.hi) else 100.0
+            self.x = np.full(_SCAN_GRIDS[-1] + 1, np.nan)
+            self.u = np.full(_SCAN_GRIDS[-1] + 1, np.nan)
+        step = _SCAN_GRIDS[-1] // n_grid
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are skipped points
+            xs = self.lo + (self.hi - self.lo) * np.arange(n_grid + 1) / n_grid
+            stale = np.flatnonzero(self.x[::step] != xs)  # NaN marks an empty entry
+            if stale.size:
+                new_x = xs[stale]
+                self.u[stale * step] = numerics.tabulate(
+                    lambda x: potentials.evaluate(self.spec, x, self.units), new_x.tolist()
+                )
+                self.x[stale * step] = new_x
+            values = E - self.u[::step]
+        return numerics.sign_changes(xs, values)
+
+
 def turning_points(
     spec: PotentialSpec,
     E: float,
     units: UnitSystem | None = None,
     tol: Tolerances | None = None,
+    _table: _UTable | None = None,
 ) -> TurningPoints:
     """Turning points at energy E; closed form when available, else a
     bracketed bisection on f(x) = E - U(x).
 
-    For QuadraticInverse the positive-side pair is returned (the mirrored
-    well carries the same spectrum by symmetry).
+    The brackets come from sign changes of E - U on grids of 257, 513, ...
+    up to 4097 points, the next one scanned only when the last showed none.
+    U on those grids is read from `_table`, which a level solve shares
+    across all its energies; without one, a table for this call alone is
+    used. For QuadraticInverse the positive-side pair is returned (the
+    mirrored well carries the same spectrum by symmetry).
     """
     units = units or UnitSystem()
     tol = tol or Tolerances()
     pairs = potentials.analytic_turning_points(spec, E, units)
     if pairs is not None:
         return pairs[-1]
-
-    dom = potentials.domain_of(spec)
-    lo = dom.lo if math.isfinite(dom.lo) else -100.0
-    hi = dom.hi if math.isfinite(dom.hi) else 100.0
+    table = _table or _UTable(spec, units)
 
     def f(x: float) -> float:
         return E - potentials.evaluate(spec, x, units)
 
-    n_grid = 256
     brackets: list[numerics.Bracket] = []
-    while n_grid <= 4096:
-        brackets = numerics.bracket_roots(f, lo, hi, n_grid)
+    for n_grid in _SCAN_GRIDS:
+        brackets = table.brackets(E, n_grid)
         if brackets:
             break
-        n_grid *= 2
     if len(brackets) < 2:
         raise NoBoundRegion(f"found {len(brackets)} turning point(s) at E={E}")
     if len(brackets) > 2:
@@ -157,12 +205,12 @@ def _tight(tol: Tolerances) -> Tolerances:
 
 
 def _width_fn(
-    spec: PotentialSpec, units: UnitSystem, tol: Tolerances
+    spec: PotentialSpec, units: UnitSystem, tol: Tolerances, table: _UTable
 ) -> Callable[[float], float]:
     """d(E), preferring closed forms; raises InvalidEnergy below the minimum."""
 
     def width(E: float) -> float:
-        return turning_points(spec, E, units, tol).d
+        return turning_points(spec, E, units, tol, table).d
 
     return width
 
@@ -209,7 +257,8 @@ def ground_state_energy(
     units = units or UnitSystem()
     tol = tol or Tolerances()
     tp_tol = _tight(tol)
-    width = _width_fn(spec, units, tp_tol)
+    table = _UTable(spec, units)
+    width = _width_fn(spec, units, tp_tol, table)
     coeff = 2.0 * units.hbar ** 2 / units.mass
 
     def residual(E: float) -> float:
@@ -220,7 +269,7 @@ def ground_state_energy(
 
     e_lo, e_hi = _energy_bracket(spec, units)
     energy = numerics.solve_self_consistent(residual, e_lo, e_hi, tol)
-    tp = turning_points(spec, energy, units, tp_tol)
+    tp = turning_points(spec, energy, units, tp_tol, table)
     return GroundState(energy=energy, tp=tp, residual=abs(residual(energy)))
 
 
@@ -234,7 +283,8 @@ def excited_energy(
     units = units or UnitSystem()
     tol = tol or Tolerances()
     tp_tol = _tight(tol)
-    width = _width_fn(spec, units, tp_tol)
+    table = _UTable(spec, units)
+    width = _width_fn(spec, units, tp_tol, table)
     m1 = units.m1
     target = level.q * math.pi
 
@@ -246,7 +296,7 @@ def excited_energy(
 
     e_lo, e_hi = _energy_bracket(spec, units)
     energy = numerics.solve_self_consistent(residual, e_lo, e_hi, tol)
-    tp = turning_points(spec, energy, units, tp_tol)
+    tp = turning_points(spec, energy, units, tp_tol, table)
     K = m1 * math.sqrt(energy)
     return EnergyLevel(level=level, energy=energy, tp=tp, K=K, residual=abs(K * tp.d - target))
 

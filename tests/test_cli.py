@@ -232,6 +232,20 @@ class TestExitCodes:
         code, _, _ = run(["scatter", "--u0", "1", "--energy", "-2"], capsys)
         assert code == 4
 
+    @pytest.mark.parametrize("span", ["-inf..inf", "-5..inf", "-inf..5", "nan..5"])
+    def test_non_finite_domain_is_2(self, span, capsys):
+        code, out, err = run(["solve", "--potential", f"expr:0.5*x^2;domain={span}"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("turnpoint: parse error: domain bounds must be finite")
+
+    @pytest.mark.parametrize("flag", ["--tol-energy", "--tol-quad"])
+    @pytest.mark.parametrize("value", ["nan", "0", "-1", "inf"])
+    def test_inadmissible_tolerance_is_4(self, flag, value, capsys):
+        code, out, err = run(["solve", "--potential", "sho:omega=1", flag, value], capsys)
+        assert (code, out) == (4, "")
+        assert err.startswith("turnpoint: invalid input: ")
+        assert err.count("\n") == 1
+
 
 class TestJsonEmitter:
     def test_round_trip_and_nan_refusal(self):
@@ -239,6 +253,18 @@ class TestJsonEmitter:
         assert json.loads(text) == {"a": [1.5, True, None, 'x"y'], "b": {}}
         with pytest.raises(ValueError):
             cli.format_float(float("nan"))
+
+    def test_control_characters_are_escaped(self):
+        value = {"s": 'tab\tnew\nline\x01 "q" \\ é'}
+        assert json.loads(cli.to_json(value), strict=True) == value
+
+    def test_tab_in_expression_source_is_strict_json(self, capsys):
+        spec = "expr:0.5*x^2\t+0;domain=-12..12"
+        code, out, _ = run(["solve", "--potential", spec, "--n-max", "1", "--variant", "general"], capsys)
+        assert code == 0
+        doc = json.loads(out, strict=True)
+        assert doc["potential"]["source"] == "0.5*x^2\t+0"
+        assert doc["ground_state"]["energy"] == pytest.approx(0.5, rel=1e-8)
 
     def test_seventeen_digit_floats(self):
         assert cli.format_float(math.pi) == "3.1415926535897931"

@@ -3,9 +3,12 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from turnpoint import expressions
 from turnpoint.errors import EvalError, ExpressionSyntaxError, UnknownIdentifier
+from turnpoint.expressions import Binary, Constant, Number, Unary, Variable
 
 
 def ev(source, x=0.0):
@@ -125,3 +128,118 @@ class TestEvaluation:
         ast = expressions.parse("x^2 - 1")
         values = [expressions.evaluate(ast, x) for x in (-1.0, 0.0, 2.0)]
         assert values == [0.0, -1.0, 3.0]
+
+
+# -- compiled evaluator against a tree walk ---------------------------------
+
+
+def walk(node, x):
+    """Reference tree walk: children left to right, then the node's operation."""
+    if isinstance(node, Number):
+        return node.value
+    if isinstance(node, Variable):
+        return x
+    if isinstance(node, Constant):
+        return expressions.CONSTANTS[node.name]
+    if isinstance(node, Unary):
+        v = walk(node.child, x)
+        op = node.op
+        if op == "neg":
+            return -v
+        if op in ("sin", "cos", "abs"):
+            return {"sin": math.sin, "cos": math.cos, "abs": abs}[op](v)
+        if op == "tan":
+            out = math.tan(v)
+            if not math.isfinite(out):
+                raise EvalError(f"tan pole at x={x}")
+            return out
+        if op == "cot":
+            s = math.sin(v)
+            if s == 0.0:
+                raise EvalError(f"cot pole at x={x}")
+            return math.cos(v) / s
+        if op == "sqrt":
+            if v < 0.0:
+                raise EvalError(f"sqrt of negative value {v} at x={x}")
+            return math.sqrt(v)
+        if op == "exp":
+            try:
+                return math.exp(v)
+            except OverflowError:
+                raise EvalError(f"exp overflow at x={x}") from None
+        if v <= 0.0:  # ln
+            raise EvalError(f"ln of non-positive value {v} at x={x}")
+        return math.log(v)
+    left, right = walk(node.left, x), walk(node.right, x)
+    if node.op == "+":
+        return left + right
+    if node.op == "-":
+        return left - right
+    if node.op == "*":
+        return left * right
+    if node.op == "/":
+        if right == 0.0:
+            raise EvalError(f"division by zero at x={x}")
+        return left / right
+    try:
+        out = left ** right
+    except (OverflowError, ZeroDivisionError, ValueError):
+        raise EvalError(f"invalid power {left}^{right} at x={x}") from None
+    if isinstance(out, complex):
+        raise EvalError(f"complex power {left}^{right} at x={x}")
+    return out
+
+
+def walk_checked(node, x):
+    result = walk(node, x)
+    if not math.isfinite(result):
+        raise EvalError(f"non-finite result at x={x}")
+    return result
+
+
+def outcome(fn, *args):
+    """Bit pattern of the result, or the exception's type and message."""
+    try:
+        return ("ok", fn(*args).hex())
+    except Exception as exc:  # noqa: BLE001
+        return (type(exc), str(exc))
+
+
+_NUMBERS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, 0.5, -1.0, 3.0, 1e-300, 1e300]),
+    st.floats(-1e3, 1e3, allow_nan=False),
+)
+_LEAVES = st.one_of(
+    _NUMBERS.map(Number),
+    st.just(Variable()),
+    st.sampled_from(sorted(expressions.CONSTANTS)).map(Constant),
+)
+_ASTS = st.recursive(
+    _LEAVES,
+    lambda kids: st.one_of(
+        st.builds(Unary, st.sampled_from(["neg", *sorted(expressions.FUNCTIONS)]), kids),
+        st.builds(Binary, st.sampled_from(list("+-*/^")), kids, kids),
+    ),
+    max_leaves=12,
+)
+_XS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, math.pi, 0.5, 1e308, -1e308]),
+    st.floats(-50.0, 50.0, allow_nan=False),
+)
+
+
+class TestCompile:
+    @settings(max_examples=400, deadline=None)
+    @given(_ASTS, st.lists(_XS, min_size=1, max_size=4))
+    def test_matches_tree_walk(self, ast, xs):
+        compiled = expressions.compile(ast)
+        for x in xs:
+            expected = outcome(walk_checked, ast, x)
+            assert outcome(compiled, x) == expected
+            assert outcome(expressions.evaluate, ast, x) == expected
+
+    def test_compiled_function_is_reusable(self):
+        f = expressions.compile(expressions.parse("x^2 - 1"))
+        assert [f(x) for x in (-1.0, 0.0, 2.0)] == [0.0, -1.0, 3.0]
+        with pytest.raises(EvalError):
+            expressions.compile(expressions.parse("1/x"))(0.0)

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from turnpoint import numerics
 from turnpoint.errors import ConvergenceFailure, QuadratureDivergence
@@ -32,6 +34,37 @@ class TestBracketRoots:
 
         brackets = numerics.bracket_roots(f, -1.0, 1.0, 64)
         assert len(brackets) == 1
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -3.0, math.nan, math.inf,
+                                     -math.inf, None]), min_size=3, max_size=40))
+    def test_sign_change_rule(self, values):
+        # the scan visits x = 0, 1, ..., n exactly; None makes f raise there
+        def f(x):
+            v = values[int(x)]
+            if v is None:
+                raise ArithmeticError
+            return v
+
+        n = len(values) - 1
+        got = [(b.lo, b.hi, b.f_lo, b.f_hi) for b in numerics.bracket_roots(f, 0.0, float(n), n)]
+        assert got == sign_change_loop(values)
+
+
+def sign_change_loop(values):
+    """Reference scan over values[i] at x = i, point by point."""
+    v = [None if a is None or not math.isfinite(a) else a for a in values]
+    out = []
+    for i in range(len(v) - 1):
+        a, b = v[i], v[i + 1]
+        if a is None or b is None or b == 0.0:
+            continue
+        if a == 0.0 or (a > 0.0) != (b > 0.0):
+            out.append((i, i + 1, a, b))
+    if v[-1] == 0.0 and v[-2] is not None and v[-2] != 0.0:
+        out.append((len(v) - 2, len(v) - 1, v[-2], v[-1]))
+    return out
 
 
 class TestBisect:

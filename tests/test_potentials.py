@@ -1,12 +1,14 @@
 """Potential families: parsing, evaluation, turning points, closed-form Q."""
 
 import math
+import pickle
 
 import pytest
 
 from turnpoint import potentials
-from turnpoint.errors import DomainError, SpecParseError
+from turnpoint.errors import DomainError, InvalidInput, SpecParseError
 from turnpoint.potentials import (
+    Domain,
     Expression,
     HarmonicOscillator,
     InfiniteSquareWell,
@@ -68,6 +70,21 @@ class TestSpecParsing:
     def test_malformed_specs(self, text):
         with pytest.raises(SpecParseError):
             parse_potential_spec(text)
+
+    def test_expression_domain_must_be_finite(self):
+        ast = parse_potential_spec("expr:x^2;domain=-1..1").ast
+        with pytest.raises(InvalidInput):
+            Expression(ast=ast, dom=Domain(-math.inf, math.inf, "full_line"))
+
+    def test_expression_compiles_once_and_compares_by_source(self):
+        a = parse_potential_spec("expr:x^2;domain=-1..1")
+        b = parse_potential_spec("expr:x^2;domain=-1..1")
+        assert a == b and hash(a) == hash(b)
+        assert a.compiled is not b.compiled
+        assert a.compiled(0.5) == potentials.evaluate(a, 0.5) == 0.25
+        assert "compiled" not in repr(a)
+        copy = pickle.loads(pickle.dumps(a))
+        assert copy == a and copy.compiled(0.5) == 0.25
 
     def test_spec_to_dict_round_trip(self):
         doc = spec_to_dict(TrigWell(u0=1.0, a=2.0))

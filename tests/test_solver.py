@@ -3,14 +3,17 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from turnpoint import numerics, potentials, solver
-from turnpoint.errors import InvalidEnergy, InvalidLevel, NoBoundRegion
+from turnpoint.errors import InvalidEnergy, InvalidLevel, NoBoundRegion, TurnpointError
 from turnpoint.potentials import (
     HarmonicOscillator,
     InfiniteSquareWell,
     ParabolicWell,
     QuadraticInverse,
+    Step,
     TrigWell,
     UnitSystem,
     VWell,
@@ -223,3 +226,80 @@ class TestQFunction:
         q_ana = solver.q_function(HarmonicOscillator(omega=1.0), U)
         for x in (-1.5, -0.3, 0.0, 0.4, 2.0):
             assert q_num(x) == pytest.approx(q_ana(x), abs=1e-10)
+
+
+# -- the per-solve U table against a fresh scan -----------------------------
+
+_SOURCES = (
+    "{c}*x^2", "{c}*abs(x)", "{c}*x^4 - x^2", "{c}/x^2", "{c}*x^2 + 1/x", "cot(x)^2",
+    "sqrt(x) + {c}", "{c}", "abs(x)/x", "ln(abs(x))", "{c}*x^2 + 0*x", "sin({c}*x)",
+)
+_DOMAINS = (
+    st.floats(0.1, 50.0).map(lambda a: (-a, a)),  # x = 0 lies on every grid
+    st.tuples(st.floats(-50.0, 50.0), st.floats(1e-3, 60.0)).map(lambda t: (t[0], t[0] + t[1])),
+    st.sampled_from([(0.0, math.pi), (-1e306, 1e306), (0.0, 1e-310), (1.0, 1.0 + 1e-13)]),
+)
+_GRIDS = st.sampled_from([256, 512, 1024, 2048, 4096])
+
+
+@st.composite
+def scans(draw):
+    """A well and a sequence of (E, n_grid) scans on it."""
+    if draw(st.booleans()) and draw(st.booleans()):
+        u0 = draw(st.floats(0.1, 10.0))
+        spec, lo, hi = Step(u0=u0), -100.0, 100.0
+        special = [0.0, u0]  # zeros over a whole plateau and at the right edge
+    else:
+        c = draw(st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.01, 10.0))
+        lo, hi = draw(st.one_of(*_DOMAINS))
+        source = draw(st.sampled_from(_SOURCES)).format(c=repr(c))
+        spec = parse_potential_spec(f"expr:{source};domain={lo!r}..{hi!r}")
+        special = [0.0, 0.5]
+        for k in draw(st.lists(st.integers(1, 4095), max_size=3)):
+            try:  # U at a grid point: an exact zero of E - U there
+                special.append(potentials.evaluate(spec, lo + (hi - lo) * k / 4096, U))
+            except (TurnpointError, ValueError):
+                pass
+    energy = st.floats(-5.0, 200.0) | st.sampled_from(special)
+    return spec, lo, hi, draw(st.lists(st.tuples(energy, _GRIDS), min_size=1, max_size=6))
+
+
+def _key(brackets):
+    return [(b.lo.hex(), b.hi.hex(), b.f_lo.hex(), b.f_hi.hex()) for b in brackets]
+
+
+class TestUTable:
+    @settings(max_examples=150, deadline=None)
+    @given(scans())
+    def test_brackets_equal_a_fresh_scan(self, case):
+        spec, lo, hi, steps = case
+        table = solver._UTable(spec, U)
+        for E, n in steps:
+            fresh = numerics.bracket_roots(lambda x: E - potentials.evaluate(spec, x, U), lo, hi, n)
+            assert _key(table.brackets(E, n)) == _key(fresh)
+
+    def test_grid_points_past_overflow_are_evaluated_again(self):
+        # hi * i overflows on the 513-point grid from i = 200 on, where the
+        # 257-point grid still had x = hi * 100 / 256 finite; a sign change of
+        # x - t between the two must not be seen at x = inf
+        hi = 1.7976931348623157e308 / 199.5
+        t = 0.5 * (hi * 199 / 512 + hi * 100 / 256)
+        spec = parse_potential_spec(f"expr:x - {t!r};domain=0..{hi!r}")
+        table = solver._UTable(spec, U)
+        for n in (256, 512):
+            fresh = numerics.bracket_roots(lambda x: -potentials.evaluate(spec, x, U), 0.0, hi, n)
+            assert _key(table.brackets(0.0, n)) == _key(fresh)
+
+    def test_roadmap_ground_case_stays_under_12000_u_evaluations(self, monkeypatch):
+        calls = [0]
+        evaluate = potentials.evaluate
+
+        def counted(*args):
+            calls[0] += 1
+            return evaluate(*args)
+
+        monkeypatch.setattr(potentials, "evaluate", counted)
+        spec = parse_potential_spec("expr:0.5*x^2;domain=-12..12")
+        gs = solver.ground_state_energy(spec, U)
+        assert gs.energy == pytest.approx(0.5, abs=1e-8)
+        assert calls[0] <= 12_000
