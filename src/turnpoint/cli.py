@@ -43,6 +43,9 @@ EXIT_PARSE = 2
 EXIT_CONVERGENCE = 3
 EXIT_INVALID = 4
 
+# wavefunction rows are built as Python lists before the CSV is written
+MAX_SAMPLES = 1_000_000
+
 _PARSE_ERRORS = (SpecParseError, ExpressionSyntaxError)
 _CONVERGENCE_ERRORS = (ConvergenceFailure, QuadratureDivergence, MaxIterationsExceeded)
 
@@ -171,6 +174,8 @@ def run_wavefunction(config: RunConfig, n: int, variant: str, samples: int) -> s
         raise InvalidInput(f"wavefunction needs a concrete variant, got {variant!r}")
     if samples < 1:
         raise InvalidInput(f"samples must be >= 1, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise InvalidInput(f"samples must be <= {MAX_SAMPLES}, got {samples}")
     level = solver.LevelSpec(n, variant)
     result = solver.excited_energy(config.potential, level, config.units, config.tolerances)
     desc = solver.wavefunction(

@@ -80,8 +80,12 @@ def bracket_roots(
         raise ValueError(f"bracket_roots requires lo < hi, got [{lo}, {hi}]")
     if n_grid < 2:
         raise ValueError("n_grid must be >= 2")
-    xs = [lo + (hi - lo) * i / n_grid for i in range(n_grid + 1)]
+    xs = _scan_points(lo, hi, n_grid)
     return sign_changes(xs, tabulate(f, xs))
+
+
+def _scan_points(lo: float, hi: float, n_grid: int) -> list[float]:
+    return [lo + (hi - lo) * i / n_grid for i in range(n_grid + 1)]
 
 
 def tabulate(f: Callable[[float], float], xs: Sequence[float]) -> np.ndarray:
@@ -271,6 +275,23 @@ def _simpson_rec(
     )
 
 
+def _skip_causes(g: Callable[[float], float], xs: Sequence[float]) -> str:
+    """Why g could not be evaluated at some of xs, for a failure message:
+    each error type in order of first appearance, with its count and the
+    message of its first occurrence. Runs only after a search has failed."""
+    causes: dict[str, list] = {}
+    for x in xs:
+        try:
+            g(x)
+        except _EVAL_ERRORS as exc:
+            causes.setdefault(type(exc).__name__, [0, str(exc)])[0] += 1
+    if not causes:
+        return ""
+    skipped = sum(count for count, _ in causes.values())
+    details = ", ".join(f"{count} for {name} ({first})" for name, (count, first) in causes.items())
+    return f"; the first scan skipped {skipped} of its {len(xs)} energies: {details}"
+
+
 def solve_self_consistent(
     g: Callable[[float], float],
     e_lo: float,
@@ -281,7 +302,9 @@ def solve_self_consistent(
     """Root E* of the residual g on [e_lo, e_hi] with |g(E*)| <= energy_rel * (1 + E*).
 
     If the initial range shows no sign change it is expanded geometrically
-    upward (hi <- 10 * hi) at most 12 times before ConvergenceFailure.
+    upward (hi <- 10 * hi) at most 12 times before ConvergenceFailure,
+    whose message names the errors that made points of the first scan
+    unusable (found by scanning it again, so a success pays nothing).
     """
     tol = tol or Tolerances()
     lo, hi = e_lo, e_hi
@@ -292,7 +315,10 @@ def solve_self_consistent(
             break
         hi *= _EXPAND_FACTOR
     if not brackets:
-        raise ConvergenceFailure(f"no sign change of the residual on [{e_lo}, {hi}]")
+        raise ConvergenceFailure(
+            f"no sign change of the residual on [{e_lo}, {hi}]"
+            + _skip_causes(g, _scan_points(e_lo, e_hi, n_grid))
+        )
     # bisect well past the interval tolerance so steep residuals still land
     tight = Tolerances(
         root_abs=1e-14,

@@ -5,7 +5,8 @@ Eigenvalues are located by node-count bisection: the number of interior sign
 changes of the left-integrated solution equals the number of eigenvalues
 below E, so the k-th level (0-based) sits exactly at the k -> k+1 transition.
 The box is fixed per level before the final bisection so the mismatch
-function stays continuous in E.
+function stays continuous in E. Boxes repeat from level to level, so a
+call tabulates U once per distinct box and runs every pass on that table.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ class NumerovConfig:
     def __post_init__(self):
         if self.n_points < 101 or self.n_points % 2 == 0:
             raise InvalidInput(f"n_points must be odd and >= 101, got {self.n_points}")
-        if self.box_padding < 0.0:
-            raise InvalidInput("box_padding must be >= 0")
-        if not self.energy_tol > 0.0:
-            raise InvalidInput("energy_tol must be positive")
+        if not (self.box_padding >= 0.0 and math.isfinite(self.box_padding)):
+            raise InvalidInput(f"box_padding must be finite and >= 0, got {self.box_padding}")
+        if not (self.energy_tol > 0.0 and math.isfinite(self.energy_tol)):
+            raise InvalidInput(f"energy_tol must be positive and finite, got {self.energy_tol}")
 
 
 @dataclass(frozen=True)
@@ -74,17 +75,40 @@ def numerov_integrate(
     """
     units = units or UnitSystem()
     grid = np.asarray(grid, dtype=float)
-    h = grid[1] - grid[0]
     u = _potential_on_grid(spec, grid, units)
+    return _recurrence(u, E, grid[1] - grid[0], units)
+
+
+def _recurrence(u: np.ndarray, E: float, h: float, units: UnitSystem) -> np.ndarray:
+    """psi of `numerov_integrate` on the tabulated potential u.
+
+    The coefficients are numpy expressions of the recurrence
+    psi[i+1] = ((12 - 10 c[i]) psi[i] - c[i-1] psi[i-1]) / c[i+1]; the loop
+    runs on Python floats, which round exactly as numpy float64 scalars do.
+    Whenever |psi[i+1]| exceeds 1e100 the whole prefix is divided by 1e100:
+    the loop carries on with the two divided values it needs and the array
+    is divided when the loop is done.
+    """
     g = (2.0 * units.mass / units.hbar ** 2) * (E - u)
     c = 1.0 + h * h * g / 12.0
-    psi = np.zeros(len(grid))
-    psi[0] = 0.0
-    psi[1] = 1e-6
-    for i in range(1, len(grid) - 1):
-        psi[i + 1] = ((12.0 - 10.0 * c[i]) * psi[i] - c[i - 1] * psi[i - 1]) / c[i + 1]
-        if abs(psi[i + 1]) > 1e100:
-            psi[: i + 2] /= 1e100
+    a = (12.0 - 10.0 * c).tolist()
+    # numpy scalars keep numpy's inf/nan for a zero divisor, not ZeroDivisionError
+    c = c.tolist() if c.all() else list(c)
+    psi = [0.0, 1e-6]
+    append = psi.append
+    rescaled = []  # lengths of the prefixes divided, in order
+    prev, cur = 0.0, 1e-6
+    for c_prev, a_cur, c_next in zip(c, a[1:], c[2:]):
+        prev, cur = cur, (a_cur * cur - c_prev * prev) / c_next
+        append(cur)
+        if cur > 1e100 or cur < -1e100:
+            prev, cur = prev / 1e100, cur / 1e100
+            rescaled.append(len(psi))
+    # each stored value still needs the divisions of the prefixes that
+    # covered it; applied now, in the same order, they round the same way
+    psi = np.fromiter(psi, dtype=float, count=len(psi))
+    for n in rescaled:
+        psi[:n] /= 1e100
     return psi
 
 
@@ -144,6 +168,16 @@ def shoot_bound_states(
     floor = potentials.u_min(spec)
     w = potentials.characteristic_width(spec, units)
     scale = max(units.hbar ** 2 / (units.mass * w * w), 1e-12)
+    # U per box, keyed by the endpoints' bits: the expansion ladder
+    # floor + scale * 2^j, and so its boxes, repeat for every level
+    tables: dict[bytes, np.ndarray] = {}
+
+    def nodes(E: float, grid: np.ndarray) -> int:
+        key = grid[[0, -1]].tobytes()
+        if key not in tables:
+            tables[key] = _potential_on_grid(spec, grid, units)
+        return _count_nodes(_recurrence(tables[key], E, grid[1] - grid[0], units))
+
     levels: list[ReferenceLevel] = []
     for k in range(n_max):
         e_lo = floor + 1e-9 * scale
@@ -152,7 +186,7 @@ def shoot_bound_states(
         expansions = 0
         while True:
             grid = _build_grid(spec, e_hi, config, units)
-            if _count_nodes(numerov_integrate(spec, e_hi, grid, units)) > k:
+            if nodes(e_hi, grid) > k:
                 break
             e_hi = floor + (e_hi - floor) * 2.0
             expansions += 1
@@ -163,7 +197,7 @@ def shoot_bound_states(
         lo, hi = e_lo, e_hi
         while hi - lo > config.energy_tol * (1.0 + abs(lo)):
             mid = 0.5 * (lo + hi)
-            if _count_nodes(numerov_integrate(spec, mid, grid, units)) > k:
+            if nodes(mid, grid) > k:
                 hi = mid
             else:
                 lo = mid

@@ -103,6 +103,19 @@ class TestWavefunction:
         assert code == 4
         assert "invalid input" in err
 
+    @pytest.mark.parametrize("samples", ["1000001", "100000000"])
+    def test_too_many_samples_is_4_before_any_work(self, samples, capsys, monkeypatch):
+        def fail(*args):
+            raise AssertionError("solved a level for a refused sample count")
+
+        monkeypatch.setattr(cli.solver, "excited_energy", fail)
+        code, out, err = run(
+            ["wavefunction", "--potential", "isw:L=1", "--variant", "general", "--samples", samples],
+            capsys,
+        )
+        assert (code, out) == (4, "")
+        assert err == f"turnpoint: invalid input: samples must be <= 1000000, got {samples}\n"
+
 
 class TestScatter:
     def test_single_energy_record(self, capsys):
@@ -227,6 +240,15 @@ class TestExitCodes:
         # monotone ramp: no second turning point, the solve cannot converge
         code, _, _ = run(["solve", "--potential", "expr:x;domain=-5..5"], capsys)
         assert code == 3
+
+    def test_ambiguous_double_well_names_its_cause(self, capsys):
+        # below the barrier U(0) = 1 there are four turning points, above
+        # U(+-3) = 64 none, so the residual never changes sign
+        code, out, err = run(["solve", "--potential", "expr:(x^2-1)^2;domain=-3..3"], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("turnpoint: convergence failure: no sign change of the residual")
+        assert "1 for AmbiguousWells (found 4 turning points at E=6.07997" in err
+        assert err.count("\n") == 1
 
     def test_negative_scatter_energy_is_4(self, capsys):
         code, _, _ = run(["scatter", "--u0", "1", "--energy", "-2"], capsys)

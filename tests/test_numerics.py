@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from turnpoint import numerics
-from turnpoint.errors import ConvergenceFailure, QuadratureDivergence
+from turnpoint.errors import AmbiguousWells, ConvergenceFailure, NoBoundRegion, QuadratureDivergence
 from turnpoint.numerics import Bracket, Tolerances
 
 
@@ -131,6 +131,40 @@ class TestSolveSelfConsistent:
     def test_no_root_raises(self):
         with pytest.raises(ConvergenceFailure):
             numerics.solve_self_consistent(lambda E: 1.0 + E * E, 0.1, 1.0, Tolerances())
+
+    def test_failure_names_why_points_were_skipped(self):
+        def g(E):
+            if E < 0.5:
+                raise AmbiguousWells(f"found 4 turning points at E={E}")
+            if E > 2.0:
+                raise NoBoundRegion("found 0 turning point(s)")
+            return 1.0
+
+        with pytest.raises(ConvergenceFailure) as info:
+            numerics.solve_self_consistent(g, 0.0, 4.0, Tolerances(), n_grid=8)
+        assert str(info.value) == (
+            "no sign change of the residual on [0.0, 40000000000000.0]; the first scan skipped "
+            "5 of its 9 energies: 1 for AmbiguousWells (found 4 turning points at E=0.0), "
+            "4 for NoBoundRegion (found 0 turning point(s))"
+        )
+
+    def test_failure_without_skipped_points_keeps_its_message(self):
+        with pytest.raises(ConvergenceFailure) as info:
+            numerics.solve_self_consistent(lambda E: 1.0 + E * E, 0.1, 1.0, Tolerances())
+        assert str(info.value) == "no sign change of the residual on [0.1, 10000000000000.0]"
+
+    def test_success_does_not_look_for_skip_causes(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("_skip_causes ran on a successful solve")
+
+        monkeypatch.setattr(numerics, "_skip_causes", fail)
+
+        def g(E):
+            if E < 1.0:
+                raise AmbiguousWells("below the barrier")
+            return E - 3.0
+
+        assert numerics.solve_self_consistent(g, 0.1, 10.0, Tolerances()) == pytest.approx(3.0)
 
     def test_nonlinear_width_style_equation(self):
         # E = 8 / E  =>  E = sqrt(8)

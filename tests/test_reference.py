@@ -4,14 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from turnpoint import reference
+from turnpoint import potentials, reference
 from turnpoint.errors import InvalidInput
 from turnpoint.potentials import (
     HarmonicOscillator,
     InfiniteSquareWell,
+    ParabolicWell,
+    QuadraticInverse,
+    TrigWell,
     UnitSystem,
     VWell,
+    parse_potential_spec,
 )
 
 U = UnitSystem()
@@ -26,6 +32,12 @@ class TestConfig:
     def test_invalid_config(self, kwargs):
         with pytest.raises(InvalidInput):
             reference.NumerovConfig(**kwargs)
+
+    @pytest.mark.parametrize("name", ["box_padding", "energy_tol"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(InvalidInput):
+            reference.NumerovConfig(**{name: value})
 
 
 class TestNumerovIntegration:
@@ -72,6 +84,130 @@ class TestBoundStates:
     def test_invalid_n_max(self):
         with pytest.raises(InvalidInput):
             reference.shoot_bound_states(InfiniteSquareWell(L=1.0), 0, units=U)
+
+
+# -- the oracle against exact spectra ---------------------------------------
+
+# zeros of Ai and Ai' (Abramowitz & Stegun table 10.13)
+_AIRY_ZEROS = (-2.338107410459767, -4.087949444130971)
+_AIRY_PRIME_ZEROS = (-1.018792971647471, -3.248197582179837)
+
+
+def _poschl_teller(u0: float, a: float, k: int) -> float:
+    # u0*cot^2(pi x/a) = u0*csc^2(pi x/a) - u0, with lam*(lam-1) = 2 u0 a^2 / pi^2
+    lam = 0.5 * (1.0 + math.sqrt(1.0 + 8.0 * u0 * a * a / math.pi ** 2))
+    return math.pi ** 2 / (2.0 * a * a) * (k + lam) ** 2 - u0
+
+
+def _radial_oscillator(A: float, B: float, k: int) -> float:
+    # A*x^2 + B/x^2 on x > 0: omega = sqrt(2A), ell*(ell+1)/2 = B
+    ell = 0.5 * (-1.0 + math.sqrt(1.0 + 8.0 * B))
+    return math.sqrt(2.0 * A) * (2 * k + ell + 1.5)
+
+
+def _vwell(u0: float, k: int) -> float:
+    # even states at zeros of Ai', odd ones at zeros of Ai
+    zeros = _AIRY_PRIME_ZEROS if k % 2 == 0 else _AIRY_ZEROS
+    return -zeros[k // 2] * (u0 * u0 / 2.0) ** (1.0 / 3.0)
+
+
+_EXACT = [
+    (TrigWell(u0=1.0, a=1.0), [_poschl_teller(1.0, 1.0, k) for k in range(4)]),
+    (TrigWell(u0=3.0, a=2.0), [_poschl_teller(3.0, 2.0, k) for k in range(4)]),
+    (ParabolicWell(u0=1.0, a=1.0), [_radial_oscillator(1.0, 1.0, k) - 2.0 for k in range(4)]),
+    (ParabolicWell(u0=2.0, a=0.5), [_radial_oscillator(8.0, 0.5, k) - 4.0 for k in range(4)]),
+    (QuadraticInverse(a=1.0, b=1.0), [_radial_oscillator(1.0, 1.0, k) for k in range(4)]),
+    (QuadraticInverse(a=0.5, b=3.0), [_radial_oscillator(0.5, 3.0, k) for k in range(4)]),
+    # levels below 1 share the pole clip, so boxes differ only at the right end
+    (QuadraticInverse(a=0.02, b=0.5), [_radial_oscillator(0.02, 0.5, k) for k in range(4)]),
+    (VWell(u0=1.0), [_vwell(1.0, k) for k in range(4)]),
+    (VWell(u0=2.5), [_vwell(2.5, k) for k in range(4)]),
+]
+
+
+class TestExactSpectra:
+    @pytest.mark.parametrize("spec, exact", _EXACT, ids=[repr(spec) for spec, _ in _EXACT])
+    def test_levels_0_to_3(self, spec, exact):
+        levels = reference.shoot_bound_states(spec, 4, units=U)
+        assert [lv.energy for lv in levels] == pytest.approx(exact, rel=5e-5)
+
+
+# -- the float recurrence against the numpy loop it replaced -----------------
+
+
+def _numpy_numerov(u, E, h, units):
+    """The recurrence as numerov_integrate ran it on numpy scalars."""
+    g = (2.0 * units.mass / units.hbar ** 2) * (E - u)
+    c = 1.0 + h * h * g / 12.0
+    psi = np.zeros(len(u))
+    psi[0] = 0.0
+    psi[1] = 1e-6
+    for i in range(1, len(u) - 1):
+        psi[i + 1] = ((12.0 - 10.0 * c[i]) * psi[i] - c[i - 1] * psi[i - 1]) / c[i + 1]
+        if abs(psi[i + 1]) > 1e100:
+            psi[: i + 2] /= 1e100
+    return psi
+
+
+def _bits(a: np.ndarray) -> list[int]:
+    return np.asarray(a, dtype=np.float64).view(np.int64).tolist()
+
+
+_UNITS = st.builds(UnitSystem, hbar=st.floats(0.2, 5.0), mass=st.floats(0.2, 5.0))
+_MAGNITUDES = st.sampled_from([1.0, 1e3, 1e30, 1e150, 1e300])
+
+
+@st.composite
+def tabulated(draw):
+    """Random U tables: smooth wells, spiky tables that overflow the
+    recurrence, and tables with a point where c = 1 + h^2 g / 12 is zero
+    or within rounding of it."""
+    n = draw(st.integers(2, 200))
+    scale = draw(_MAGNITUDES)
+    u = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))) * scale
+    E = draw(st.floats(-2.0, 2.0)) * draw(_MAGNITUDES)
+    h = draw(st.floats(1e-4, 1.0))
+    units = draw(_UNITS)
+    if draw(st.booleans()) and n > 2:  # U at one point where c == 0
+        u[draw(st.integers(0, n - 1))] = E + 12.0 / (h * h * 2.0 * units.mass / units.hbar ** 2)
+    return u, E, h, units
+
+
+_WELLS = st.one_of(
+    st.builds(InfiniteSquareWell, L=st.floats(0.1, 10.0)),
+    st.builds(HarmonicOscillator, omega=st.floats(0.1, 10.0)),
+    st.builds(TrigWell, u0=st.floats(0.1, 10.0), a=st.floats(0.2, 5.0)),
+    st.builds(VWell, u0=st.floats(0.1, 10.0)),
+    st.builds(ParabolicWell, u0=st.floats(0.1, 10.0), a=st.floats(0.2, 5.0)),
+    st.builds(QuadraticInverse, a=st.floats(0.1, 10.0), b=st.floats(0.1, 10.0)),
+    st.floats(0.1, 10.0).map(lambda c: parse_potential_spec(f"expr:{c!r}*x^4;domain=-3..3")),
+)
+
+
+class TestFloatRecurrence:
+    @settings(max_examples=200, deadline=None)
+    @given(tabulated())
+    def test_equals_numpy_loop_bit_for_bit(self, case):
+        u, E, h, units = case
+        with np.errstate(all="ignore"):
+            expected = _numpy_numerov(u, E, h, units)
+            psi = reference._recurrence(u, E, h, units)
+        assert _bits(psi) == _bits(expected)
+        assert reference._count_nodes(psi) == reference._count_nodes(expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_WELLS, st.floats(1e-3, 200.0), st.integers(50, 600), _UNITS)
+    def test_numerov_integrate_on_wells(self, spec, height, half, units):
+        E = potentials.u_min(spec) + height
+        config = reference.NumerovConfig(n_points=2 * half + 1)
+        grid = reference._build_grid(spec, E, config, units)
+        u = reference._potential_on_grid(spec, grid, units)
+        with np.errstate(all="ignore"):
+            expected = _numpy_numerov(u, E, grid[1] - grid[0], units)
+            psi = reference.numerov_integrate(spec, E, grid, units)
+        assert type(psi) is np.ndarray and psi.dtype == np.float64
+        assert _bits(psi) == _bits(expected)
+        assert reference._count_nodes(psi) == reference._count_nodes(expected)
 
 
 class TestStandardStep:
