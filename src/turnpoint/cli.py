@@ -43,7 +43,7 @@ EXIT_PARSE = 2
 EXIT_CONVERGENCE = 3
 EXIT_INVALID = 4
 
-# wavefunction rows are built as Python lists before the CSV is written
+# cap on wavefunction rows and scatter records, both built as Python lists
 MAX_SAMPLES = 1_000_000
 
 _PARSE_ERRORS = (SpecParseError, ExpressionSyntaxError)
@@ -199,6 +199,8 @@ def run_scatter(u0: float, energies: list[float], x_probe: float, units: UnitSys
         raise InvalidInput(f"u0 must be positive, got {u0}")
     if x_probe < 0.0:
         raise InvalidRegion(f"x probe must be >= 0, got {x_probe}")
+    if not math.isfinite(x_probe):
+        raise InvalidRegion(f"x probe must be finite, got {x_probe}")
     records = []
     for E in energies:
         coeffs = scattering.match_coefficients(E, u0, units)
@@ -354,7 +356,10 @@ def _setting(args: argparse.Namespace, file_values: dict[str, str], key: str, ca
     if flag is not None:
         return flag
     if key in file_values:
-        return cast(file_values[key])
+        try:
+            return cast(file_values[key])
+        except ValueError:
+            raise SpecParseError(f"config file {args.config}: bad value {file_values[key]!r} for {key}") from None
     return default
 
 
@@ -413,15 +418,17 @@ def _dispatch(args: argparse.Namespace) -> int:
         u0 = _setting(args, file_values, "u0", float, None)
         if u0 is None:
             raise InvalidInput("scatter requires --u0")
-        energies = list(args.energy) if args.energy else []
-        if "energy" in file_values and not energies:
-            energies = [float(tok) for tok in file_values["energy"].split(",") if tok.strip()]
+        energies = list(_setting(
+            args, file_values, "energy", lambda text: [float(t) for t in text.split(",") if t.strip()], []
+        ))
         e_min = _setting(args, file_values, "e_min", float, None)
         e_max = _setting(args, file_values, "e_max", float, None)
         e_count = _setting(args, file_values, "e_count", int, None)
         if e_min is not None or e_max is not None or e_count is not None:
             if None in (e_min, e_max, e_count) or e_count < 2 or not e_min < e_max:
                 raise InvalidInput("energy range needs --e-min < --e-max and --e-count >= 2")
+            if e_count > MAX_SAMPLES:
+                raise InvalidInput(f"e-count must be <= {MAX_SAMPLES}, got {e_count}")
             energies += list(np.linspace(e_min, e_max, e_count))
         if not energies:
             raise InvalidInput("scatter requires --energy or an --e-min/--e-max/--e-count range")

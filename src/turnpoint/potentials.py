@@ -1,8 +1,9 @@
 """Potential data model: unit system, built-in families, closed-form
 turning points and action integrals, and pointwise evaluation.
 
-Built-in families carry the closed-form turning points and Q(x)
-antiderivatives where they exist; everything else falls back to the
+Each built-in family is a dataclass that evaluates U and knows its domain,
+minimum and length scale, and its closed-form turning points and Q(x)
+antiderivative where they exist; everything else falls back to the
 numeric kernel. Infinite walls are represented by DomainError outside
 the finite domain, never by a sentinel infinity, so quadrature and
 bracketing never sample infinite values.
@@ -11,7 +12,7 @@ bracketing never sample infinite values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable
 
 from . import expressions
@@ -75,32 +76,98 @@ class TurningPoints:
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Base for the tagged union of potential descriptions."""
+    """Base of the well families: a family is a frozen dataclass whose fields
+    are its parameters, and it overrides `evaluate` and the defaults below
+    that do not fit it."""
 
     kind = "abstract"
+    closed_form = False  # closed-form turning points and Q
 
-    def _check_positive(self, **params: float) -> None:
-        for name, value in params.items():
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not (value > 0.0 and math.isfinite(value)):
-                raise InvalidInput(f"{self.kind}: parameter {name} must be positive, got {value}")
+                raise InvalidInput(f"{self.kind}: parameter {f.name} must be positive, got {value}")
+
+    def evaluate(self, x: float, units: UnitSystem) -> float:
+        """Pointwise U(x). Raises DomainError outside the domain or at a pole."""
+        raise NotImplementedError
+
+    def domain(self) -> Domain:
+        """The domain on which the potential may be evaluated."""
+        return Domain(-math.inf, math.inf, "full_line")
+
+    def u_min(self) -> float:
+        """Infimum of U over the domain."""
+        return 0.0
+
+    def scale(self, units: UnitSystem) -> float:
+        """A length scale for bracket initialization; order of magnitude only."""
+        return 1.0
+
+    def turning_points(self, E: float, units: UnitSystem) -> tuple[TurningPoints, ...] | None:
+        """Closed-form turning points for E above the minimum, or None."""
+        return None
+
+    def q(self, x: float, units: UnitSystem) -> float | None:
+        """Closed-form Q(x) = m1 * integral of sqrt(U) with zero constant, or None."""
+        return None
+
+    def span(self) -> tuple[float, float]:
+        """The domain, an infinite end cut at -100 or 100, for grids over all of it."""
+        dom = self.domain()
+        return (dom.lo if math.isfinite(dom.lo) else -100.0, dom.hi if math.isfinite(dom.hi) else 100.0)
+
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, **asdict(self)}
 
 
 @dataclass(frozen=True)
 class InfiniteSquareWell(PotentialSpec):
     L: float
     kind = "isw"
+    closed_form = True
 
-    def __post_init__(self):
-        self._check_positive(L=self.L)
+    def evaluate(self, x, units):
+        if not 0.0 < x < self.L:
+            raise DomainError(f"x={x} outside the square well (0, {self.L})")
+        return 0.0
+
+    def domain(self):
+        return Domain(0.0, self.L, "finite")
+
+    def scale(self, units):
+        return self.L
+
+    def turning_points(self, E, units):
+        return (TurningPoints(0.0, self.L),)
+
+    def q(self, x, units):
+        # closed interval: the turning points sit exactly on the walls
+        if not 0.0 <= x <= self.L:
+            raise DomainError(f"x={x} outside the square well [0, {self.L}]")
+        return 0.0
 
 
 @dataclass(frozen=True)
 class HarmonicOscillator(PotentialSpec):
     omega: float
     kind = "sho"
+    closed_form = True
 
-    def __post_init__(self):
-        self._check_positive(omega=self.omega)
+    def evaluate(self, x, units):
+        return 0.5 * units.mass * self.omega ** 2 * x * x
+
+    def scale(self, units):
+        return math.sqrt(units.hbar / (units.mass * self.omega))
+
+    def turning_points(self, E, units):
+        x2 = math.sqrt(2.0 * E / (units.mass * self.omega ** 2))
+        return (TurningPoints(-x2, x2),)
+
+    def q(self, x, units):
+        a = units.mass * self.omega / (2.0 * units.hbar)
+        return a * x * x
 
 
 @dataclass(frozen=True)
@@ -110,9 +177,33 @@ class TrigWell(PotentialSpec):
     u0: float
     a: float
     kind = "trig"
+    closed_form = True
 
-    def __post_init__(self):
-        self._check_positive(u0=self.u0, a=self.a)
+    def evaluate(self, x, units):
+        if not 0.0 < x < self.a:
+            raise DomainError(f"x={x} outside the trig well (0, {self.a})")
+        s = math.sin(math.pi * x / self.a)
+        if s == 0.0:
+            raise DomainError(f"cot pole at x={x}")
+        c = math.cos(math.pi * x / self.a)
+        return self.u0 * (c / s) ** 2
+
+    def domain(self):
+        return Domain(0.0, self.a, "finite")
+
+    def scale(self, units):
+        return self.a
+
+    def turning_points(self, E, units):
+        # arccot on (0, pi/2) for the positive root
+        t = math.atan(1.0 / math.sqrt(E / self.u0))
+        x_lo = self.a / math.pi * t
+        return (TurningPoints(x_lo, self.a - x_lo),)
+
+    def q(self, x, units):
+        if not 0.0 < x < self.a:
+            raise DomainError(f"x={x} outside the trig well (0, {self.a})")
+        return units.m1 * math.sqrt(self.u0) * self.a / math.pi * math.log(math.sin(math.pi * x / self.a))
 
 
 @dataclass(frozen=True)
@@ -121,9 +212,21 @@ class VWell(PotentialSpec):
 
     u0: float
     kind = "vwell"
+    closed_form = True
 
-    def __post_init__(self):
-        self._check_positive(u0=self.u0)
+    def evaluate(self, x, units):
+        return self.u0 * abs(x)
+
+    def scale(self, units):
+        return (units.hbar ** 2 / (units.mass * self.u0)) ** (1.0 / 3.0)
+
+    def turning_points(self, E, units):
+        x2 = E / self.u0
+        return (TurningPoints(-x2, x2),)
+
+    def q(self, x, units):
+        # even extension of the x > 0 antiderivative keeps the cosine states symmetric
+        return units.m1 * math.sqrt(self.u0) * (2.0 / 3.0) * abs(x) ** 1.5
 
 
 @dataclass(frozen=True)
@@ -133,9 +236,28 @@ class ParabolicWell(PotentialSpec):
     u0: float
     a: float
     kind = "parab"
+    closed_form = True
 
-    def __post_init__(self):
-        self._check_positive(u0=self.u0, a=self.a)
+    def evaluate(self, x, units):
+        if x <= 0.0:
+            raise DomainError(f"x={x} outside the parabolic well (x > 0)")
+        return self.u0 * (self.a / x - x / self.a) ** 2
+
+    def domain(self):
+        return Domain(0.0, math.inf, "half_line_positive")
+
+    def scale(self, units):
+        return self.a
+
+    def turning_points(self, E, units):
+        r = math.sqrt(E / self.u0)
+        s = math.sqrt(E / self.u0 + 4.0)
+        return (TurningPoints(0.5 * self.a * (s - r), 0.5 * self.a * (s + r)),)
+
+    def q(self, x, units):
+        if x <= 0.0:
+            raise DomainError(f"x={x} outside the parabolic well (x > 0)")
+        return units.m1 * math.sqrt(self.u0) * (self.a * math.log(x) - x * x / (2.0 * self.a))
 
 
 @dataclass(frozen=True)
@@ -145,9 +267,33 @@ class QuadraticInverse(PotentialSpec):
     a: float
     b: float
     kind = "axb"
+    closed_form = True
 
-    def __post_init__(self):
-        self._check_positive(a=self.a, b=self.b)
+    def evaluate(self, x, units):
+        if x == 0.0:
+            raise DomainError("pole at x=0")
+        return self.a * x * x + self.b / (x * x)
+
+    def u_min(self):
+        return 2.0 * math.sqrt(self.a * self.b)
+
+    def scale(self, units):
+        return (self.b / self.a) ** 0.25
+
+    def turning_points(self, E, units):
+        delta = E * E - 4.0 * self.a * self.b
+        if delta <= 0.0:
+            raise InvalidEnergy(f"E={E}: discriminant E^2 - 4ab = {delta} <= 0")
+        inner = math.sqrt((E - math.sqrt(delta)) / (2.0 * self.a))
+        outer = math.sqrt((E + math.sqrt(delta)) / (2.0 * self.a))
+        return (TurningPoints(-outer, -inner), TurningPoints(inner, outer))
+
+    def q(self, x, units):
+        if x == 0.0:
+            raise DomainError("pole at x=0")
+        a, b = self.a, self.b
+        root = math.sqrt(a * x ** 4 + b)
+        return 0.5 * units.m1 * (root - math.sqrt(b) * math.log((math.sqrt(b) + root) / (math.sqrt(a) * x * x)))
 
 
 @dataclass(frozen=True)
@@ -157,8 +303,8 @@ class Step(PotentialSpec):
     u0: float
     kind = "step"
 
-    def __post_init__(self):
-        self._check_positive(u0=self.u0)
+    def evaluate(self, x, units):
+        return 0.0 if x < 0.0 else self.u0
 
 
 @dataclass(frozen=True)
@@ -180,192 +326,67 @@ class Expression(PotentialSpec):
         # closures do not pickle; the copy compiles its own
         return (Expression, (self.ast, self.dom, self.source))
 
+    def evaluate(self, x, units):
+        if not self.dom.contains(x):
+            raise DomainError(f"x={x} outside the expression domain [{self.dom.lo}, {self.dom.hi}]")
+        return self.compiled(x)
 
-def domain_of(spec: PotentialSpec) -> Domain:
-    """The domain on which the potential may be evaluated."""
-    if isinstance(spec, InfiniteSquareWell):
-        return Domain(0.0, spec.L, "finite")
-    if isinstance(spec, TrigWell):
-        return Domain(0.0, spec.a, "finite")
-    if isinstance(spec, (ParabolicWell,)):
-        return Domain(0.0, math.inf, "half_line_positive")
-    if isinstance(spec, Expression):
-        return spec.dom
-    return Domain(-math.inf, math.inf, "full_line")
+    def domain(self):
+        return self.dom
 
-
-def evaluate(spec: PotentialSpec, x: float, units: UnitSystem | None = None) -> float:
-    """Pointwise U(x). Raises DomainError outside the domain or at a pole."""
-    units = units or UnitSystem()
-    if isinstance(spec, InfiniteSquareWell):
-        if not 0.0 < x < spec.L:
-            raise DomainError(f"x={x} outside the square well (0, {spec.L})")
-        return 0.0
-    if isinstance(spec, HarmonicOscillator):
-        return 0.5 * units.mass * spec.omega ** 2 * x * x
-    if isinstance(spec, TrigWell):
-        if not 0.0 < x < spec.a:
-            raise DomainError(f"x={x} outside the trig well (0, {spec.a})")
-        s = math.sin(math.pi * x / spec.a)
-        if s == 0.0:
-            raise DomainError(f"cot pole at x={x}")
-        c = math.cos(math.pi * x / spec.a)
-        return spec.u0 * (c / s) ** 2
-    if isinstance(spec, VWell):
-        return spec.u0 * abs(x)
-    if isinstance(spec, ParabolicWell):
-        if x <= 0.0:
-            raise DomainError(f"x={x} outside the parabolic well (x > 0)")
-        return spec.u0 * (spec.a / x - x / spec.a) ** 2
-    if isinstance(spec, QuadraticInverse):
-        if x == 0.0:
-            raise DomainError("pole at x=0")
-        return spec.a * x * x + spec.b / (x * x)
-    if isinstance(spec, Step):
-        return 0.0 if x < 0.0 else spec.u0
-    if isinstance(spec, Expression):
-        if not spec.dom.contains(x):
-            raise DomainError(f"x={x} outside the expression domain [{spec.dom.lo}, {spec.dom.hi}]")
-        return spec.compiled(x)
-    raise TypeError(f"unknown potential spec {spec!r}")
-
-
-def u_min(spec: PotentialSpec) -> float:
-    """Infimum of U over the domain (closed form for built-ins)."""
-    if isinstance(spec, QuadraticInverse):
-        return 2.0 * math.sqrt(spec.a * spec.b)
-    if isinstance(spec, Expression):
-        lo, hi = spec.dom.lo, spec.dom.hi
+    def u_min(self):
+        """Smallest U on 511 interior points of the domain."""
+        lo, hi = self.dom.lo, self.dom.hi
         best = math.inf
         n = 512
         for i in range(1, n):
             x = lo + (hi - lo) * i / n
             try:
-                best = min(best, spec.compiled(x))
+                best = min(best, self.compiled(x))
             except Exception:
                 continue
         if not math.isfinite(best):
             raise DomainError("expression potential not evaluable anywhere on its domain")
         return best
-    # isw, sho, trig, vwell, parab and step all bottom out at zero
-    return 0.0
+
+    def scale(self, units):
+        return (self.dom.hi - self.dom.lo) / 10.0
+
+    def to_dict(self):
+        return {"kind": "expr", "source": self.source, "domain": {"lo": self.dom.lo, "hi": self.dom.hi}}
 
 
-def characteristic_width(spec: PotentialSpec, units: UnitSystem) -> float:
-    """A length scale for bracket initialization; order of magnitude only."""
-    if isinstance(spec, InfiniteSquareWell):
-        return spec.L
-    if isinstance(spec, HarmonicOscillator):
-        return math.sqrt(units.hbar / (units.mass * spec.omega))
-    if isinstance(spec, TrigWell):
-        return spec.a
-    if isinstance(spec, VWell):
-        return (units.hbar ** 2 / (units.mass * spec.u0)) ** (1.0 / 3.0)
-    if isinstance(spec, ParabolicWell):
-        return spec.a
-    if isinstance(spec, QuadraticInverse):
-        return (spec.b / spec.a) ** 0.25
-    if isinstance(spec, Expression):
-        return (spec.dom.hi - spec.dom.lo) / 10.0
-    return 1.0
+# the families `parse_potential_spec` knows by name, besides `expr`
+FAMILIES = (InfiniteSquareWell, HarmonicOscillator, TrigWell, VWell, ParabolicWell, QuadraticInverse, Step)
+_FAMILIES = {cls.kind: cls for cls in FAMILIES}
+
+
+def evaluate(spec: PotentialSpec, x: float, units: UnitSystem | None = None) -> float:
+    """Pointwise U(x). Raises DomainError outside the domain or at a pole."""
+    return spec.evaluate(x, units or UnitSystem())
+
+
+def u_min(spec: PotentialSpec) -> float:
+    """Infimum of U over the domain (closed form for built-ins)."""
+    return spec.u_min()
 
 
 def analytic_turning_points(
     spec: PotentialSpec, E: float, units: UnitSystem | None = None
 ) -> tuple[TurningPoints, ...] | None:
-    """Closed-form turning points, or None when no closed form exists.
-
-    Returns one pair for single wells and the mirrored (negative-side,
-    positive-side) pairs for QuadraticInverse. Width is always |x2 - x1|.
-    """
-    units = units or UnitSystem()
-    if isinstance(spec, (Step, Expression)):
-        return None
-    if E <= u_min(spec):
+    """Closed-form turning points, or None when no closed form exists: one
+    pair for single wells, the mirrored (negative-side, positive-side) pairs
+    for QuadraticInverse."""
+    # closed forms only: an expression's minimum is a 511-point scan
+    if spec.closed_form and E <= u_min(spec):
         raise InvalidEnergy(f"E={E} at or below the well minimum")
-    if isinstance(spec, InfiniteSquareWell):
-        return (TurningPoints(0.0, spec.L),)
-    if isinstance(spec, HarmonicOscillator):
-        x2 = math.sqrt(2.0 * E / (units.mass * spec.omega ** 2))
-        return (TurningPoints(-x2, x2),)
-    if isinstance(spec, TrigWell):
-        # arccot on (0, pi/2) for the positive root
-        t = math.atan(1.0 / math.sqrt(E / spec.u0))
-        x_lo = spec.a / math.pi * t
-        return (TurningPoints(x_lo, spec.a - x_lo),)
-    if isinstance(spec, VWell):
-        x2 = E / spec.u0
-        return (TurningPoints(-x2, x2),)
-    if isinstance(spec, ParabolicWell):
-        r = math.sqrt(E / spec.u0)
-        s = math.sqrt(E / spec.u0 + 4.0)
-        return (TurningPoints(0.5 * spec.a * (s - r), 0.5 * spec.a * (s + r)),)
-    if isinstance(spec, QuadraticInverse):
-        delta = E * E - 4.0 * spec.a * spec.b
-        if delta <= 0.0:
-            raise InvalidEnergy(f"E={E}: discriminant E^2 - 4ab = {delta} <= 0")
-        inner = math.sqrt((E - math.sqrt(delta)) / (2.0 * spec.a))
-        outer = math.sqrt((E + math.sqrt(delta)) / (2.0 * spec.a))
-        return (TurningPoints(-outer, -inner), TurningPoints(inner, outer))
-    raise TypeError(f"unknown potential spec {spec!r}")
+    return spec.turning_points(E, units or UnitSystem())
 
 
 def analytic_q(spec: PotentialSpec, x: float, units: UnitSystem | None = None) -> float | None:
-    """Closed-form Q(x) = m1 * integral of sqrt(U) with zero constant.
-
-    Returns None when no closed form exists (Expression, Step). The
-    normalization amplitude absorbs the arbitrary constant, so no anchoring
-    is applied.
-    """
-    units = units or UnitSystem()
-    m1 = units.m1
-    if isinstance(spec, InfiniteSquareWell):
-        # closed interval: the turning points sit exactly on the walls
-        if not 0.0 <= x <= spec.L:
-            raise DomainError(f"x={x} outside the square well [0, {spec.L}]")
-        return 0.0
-    if isinstance(spec, HarmonicOscillator):
-        a = units.mass * spec.omega / (2.0 * units.hbar)
-        return a * x * x
-    if isinstance(spec, TrigWell):
-        if not 0.0 < x < spec.a:
-            raise DomainError(f"x={x} outside the trig well (0, {spec.a})")
-        return m1 * math.sqrt(spec.u0) * spec.a / math.pi * math.log(math.sin(math.pi * x / spec.a))
-    if isinstance(spec, VWell):
-        # even extension of the x > 0 antiderivative keeps the cosine states symmetric
-        return m1 * math.sqrt(spec.u0) * (2.0 / 3.0) * abs(x) ** 1.5
-    if isinstance(spec, ParabolicWell):
-        if x <= 0.0:
-            raise DomainError(f"x={x} outside the parabolic well (x > 0)")
-        return m1 * math.sqrt(spec.u0) * (spec.a * math.log(x) - x * x / (2.0 * spec.a))
-    if isinstance(spec, QuadraticInverse):
-        if x == 0.0:
-            raise DomainError("pole at x=0")
-        a, b = spec.a, spec.b
-        root = math.sqrt(a * x ** 4 + b)
-        return 0.5 * m1 * (root - math.sqrt(b) * math.log((math.sqrt(b) + root) / (math.sqrt(a) * x * x)))
-    return None
-
-
-_FAMILY_KEYS = {
-    "isw": ("InfiniteSquareWell", ("l",)),
-    "sho": ("HarmonicOscillator", ("omega",)),
-    "trig": ("TrigWell", ("u0", "a")),
-    "vwell": ("VWell", ("u0",)),
-    "parab": ("ParabolicWell", ("u0", "a")),
-    "axb": ("QuadraticInverse", ("a", "b")),
-    "step": ("Step", ("u0",)),
-}
-
-_FAMILY_BUILDERS = {
-    "isw": lambda p: InfiniteSquareWell(L=p["l"]),
-    "sho": lambda p: HarmonicOscillator(omega=p["omega"]),
-    "trig": lambda p: TrigWell(u0=p["u0"], a=p["a"]),
-    "vwell": lambda p: VWell(u0=p["u0"]),
-    "parab": lambda p: ParabolicWell(u0=p["u0"], a=p["a"]),
-    "axb": lambda p: QuadraticInverse(a=p["a"], b=p["b"]),
-    "step": lambda p: Step(u0=p["u0"]),
-}
+    """Closed-form Q(x) = m1 * integral of sqrt(U) with zero constant, or
+    None (Expression, Step). The normalization amplitude absorbs the constant."""
+    return spec.q(x, units or UnitSystem())
 
 
 def parse_potential_spec(text: str) -> PotentialSpec:
@@ -394,9 +415,10 @@ def parse_potential_spec(text: str) -> PotentialSpec:
             raise SpecParseError(f"empty domain [{lo}, {hi}]")
         ast = expressions.parse(expr_src)
         return Expression(ast=ast, dom=Domain(lo, hi, "finite"), source=expr_src.strip())
-    if family not in _FAMILY_KEYS:
+    if family not in _FAMILIES:
         raise SpecParseError(f"unknown potential family {family!r}")
-    _, keys = _FAMILY_KEYS[family]
+    cls = _FAMILIES[family]
+    keys = [f.name.lower() for f in fields(cls)]
     params: dict[str, float] = {}
     for item in rest.split(","):
         item = item.strip()
@@ -416,20 +438,11 @@ def parse_potential_spec(text: str) -> PotentialSpec:
     if missing:
         raise SpecParseError(f"family {family!r} missing parameters: {', '.join(missing)}")
     try:
-        return _FAMILY_BUILDERS[family](params)
+        return cls(*(params[k] for k in keys))
     except InvalidInput as exc:
         raise SpecParseError(str(exc)) from None
 
 
 def spec_to_dict(spec: PotentialSpec) -> dict:
     """JSON-friendly echo of a potential spec."""
-    if isinstance(spec, Expression):
-        return {
-            "kind": "expr",
-            "source": spec.source,
-            "domain": {"lo": spec.dom.lo, "hi": spec.dom.hi},
-        }
-    doc: dict = {"kind": spec.kind}
-    for f in fields(spec):
-        doc[f.name] = getattr(spec, f.name)
-    return doc
+    return spec.to_dict()

@@ -43,9 +43,6 @@ class ReferenceLevel:
     node_count: int
 
 
-_HARD_WALL_KINDS = ("isw", "trig")
-
-
 def _potential_on_grid(spec: PotentialSpec, grid: np.ndarray, units: UnitSystem) -> np.ndarray:
     """U on the grid; endpoints where U is undefined act as hard walls
     (psi = 0 there, so the value never enters the recurrence)."""
@@ -80,14 +77,27 @@ def numerov_integrate(
 
 
 def _recurrence(u: np.ndarray, E: float, h: float, units: UnitSystem) -> np.ndarray:
-    """psi of `numerov_integrate` on the tabulated potential u.
+    """psi of `numerov_integrate` on the tabulated potential u: the values of
+    `_psi_values` with its prefix divisions applied in order, which rounds
+    as dividing at each rescale would."""
+    values, rescaled = _psi_values(u, E, h, units)
+    psi = np.fromiter(values, dtype=float, count=len(values))
+    for n in rescaled:
+        psi[:n] /= 1e100
+    return psi
+
+
+def _psi_values(u: np.ndarray, E: float, h: float, units: UnitSystem) -> tuple[list[float], list[int]]:
+    """psi as the recurrence computed it, and the prefix lengths it rescaled.
 
     The coefficients are numpy expressions of the recurrence
     psi[i+1] = ((12 - 10 c[i]) psi[i] - c[i-1] psi[i-1]) / c[i+1]; the loop
     runs on Python floats, which round exactly as numpy float64 scalars do.
-    Whenever |psi[i+1]| exceeds 1e100 the whole prefix is divided by 1e100:
-    the loop carries on with the two divided values it needs and the array
-    is divided when the loop is done.
+    When |psi[i+1]| exceeds 1e100 the loop carries on with its two values
+    divided by 1e100 and records the length of the prefix that needs the
+    same division. The stored values have the signs of psi and none of them
+    underflows through the prefix divisions, so they are what nodes are
+    counted on.
     """
     g = (2.0 * units.mass / units.hbar ** 2) * (E - u)
     c = 1.0 + h * h * g / 12.0
@@ -104,12 +114,7 @@ def _recurrence(u: np.ndarray, E: float, h: float, units: UnitSystem) -> np.ndar
         if cur > 1e100 or cur < -1e100:
             prev, cur = prev / 1e100, cur / 1e100
             rescaled.append(len(psi))
-    # each stored value still needs the divisions of the prefixes that
-    # covered it; applied now, in the same order, they round the same way
-    psi = np.fromiter(psi, dtype=float, count=len(psi))
-    for n in rescaled:
-        psi[:n] /= 1e100
-    return psi
+    return psi, rescaled
 
 
 def _count_nodes(psi: np.ndarray) -> int:
@@ -124,23 +129,16 @@ def _count_nodes(psi: np.ndarray) -> int:
 def _build_grid(
     spec: PotentialSpec, E: float, config: NumerovConfig, units: UnitSystem
 ) -> np.ndarray:
-    """Integration box: exact finite domain for hard walls, padded
-    turning-point box for soft wells."""
-    dom = potentials.domain_of(spec)
-    if spec.kind in _HARD_WALL_KINDS:
-        return np.linspace(dom.lo, dom.hi, config.n_points)
-    pairs = potentials.analytic_turning_points(spec, E, units)
+    """Integration box: a finite domain, whose ends are walls; a padded
+    turning-point box for soft wells; else the domain cut at -100 and 100."""
+    dom = spec.domain()
+    walled = math.isfinite(dom.lo) and math.isfinite(dom.hi)
+    pairs = None if walled else potentials.analytic_turning_points(spec, E, units)
     if pairs is None:
-        lo = dom.lo if math.isfinite(dom.lo) else -100.0
-        hi = dom.hi if math.isfinite(dom.hi) else 100.0
-        return np.linspace(lo, hi, config.n_points)
+        return np.linspace(*spec.span(), config.n_points)
     tp = pairs[-1]
-    lo = tp.x1 - config.box_padding * tp.d
-    hi = tp.x2 + config.box_padding * tp.d
-    if math.isfinite(dom.lo):
-        lo = max(lo, dom.lo)
-    if math.isfinite(dom.hi):
-        hi = min(hi, dom.hi)
+    lo = max(tp.x1 - config.box_padding * tp.d, dom.lo)
+    hi = min(tp.x2 + config.box_padding * tp.d, dom.hi)
     # inverse-square poles: clip where U is ~1e4 times the scan energy so the
     # stencil stays stable (h^2 * g moderate); psi is pinned to zero there
     pole_coeff = None
@@ -166,7 +164,7 @@ def shoot_bound_states(
     if n_max < 1:
         raise InvalidInput(f"n_max must be >= 1, got {n_max}")
     floor = potentials.u_min(spec)
-    w = potentials.characteristic_width(spec, units)
+    w = spec.scale(units)
     scale = max(units.hbar ** 2 / (units.mass * w * w), 1e-12)
     # U per box, keyed by the endpoints' bits: the expansion ladder
     # floor + scale * 2^j, and so its boxes, repeat for every level
@@ -176,7 +174,8 @@ def shoot_bound_states(
         key = grid[[0, -1]].tobytes()
         if key not in tables:
             tables[key] = _potential_on_grid(spec, grid, units)
-        return _count_nodes(_recurrence(tables[key], E, grid[1] - grid[0], units))
+        values, _ = _psi_values(tables[key], E, grid[1] - grid[0], units)
+        return _count_nodes(np.fromiter(values, dtype=float, count=len(values)))
 
     levels: list[ReferenceLevel] = []
     for k in range(n_max):

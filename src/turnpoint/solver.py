@@ -128,9 +128,7 @@ class _UTable:
 
     def brackets(self, E: float, n_grid: int) -> list[numerics.Bracket]:
         if self.u is None:
-            dom = potentials.domain_of(self.spec)
-            self.lo = dom.lo if math.isfinite(dom.lo) else -100.0
-            self.hi = dom.hi if math.isfinite(dom.hi) else 100.0
+            self.lo, self.hi = self.spec.span()
             self.x = np.full(_SCAN_GRIDS[-1] + 1, np.nan)
             self.u = np.full(_SCAN_GRIDS[-1] + 1, np.nan)
         step = _SCAN_GRIDS[-1] // n_grid
@@ -204,21 +202,10 @@ def _tight(tol: Tolerances) -> Tolerances:
     )
 
 
-def _width_fn(
-    spec: PotentialSpec, units: UnitSystem, tol: Tolerances, table: _UTable
-) -> Callable[[float], float]:
-    """d(E), preferring closed forms; raises InvalidEnergy below the minimum."""
-
-    def width(E: float) -> float:
-        return turning_points(spec, E, units, tol, table).d
-
-    return width
-
-
 def _energy_bracket(spec: PotentialSpec, units: UnitSystem) -> tuple[float, float]:
     """Initial [E_lo, E_hi] for the self-consistent solves."""
     floor = potentials.u_min(spec)
-    w = potentials.characteristic_width(spec, units)
+    w = spec.scale(units)
     scale = units.hbar ** 2 / (units.mass * w * w)
     scale = max(scale, 1e-12)
     return floor + 1e-9 * scale, floor + 1e3 * scale
@@ -258,11 +245,10 @@ def ground_state_energy(
     tol = tol or Tolerances()
     tp_tol = _tight(tol)
     table = _UTable(spec, units)
-    width = _width_fn(spec, units, tp_tol, table)
     coeff = 2.0 * units.hbar ** 2 / units.mass
 
     def residual(E: float) -> float:
-        d = width(E)
+        d = turning_points(spec, E, units, tp_tol, table).d  # InvalidEnergy below the minimum
         if d < _TINY_WIDTH * (1.0 + abs(E)):
             return -math.inf  # E below any admissible level
         return E - coeff / (d * d)
@@ -284,12 +270,11 @@ def excited_energy(
     tol = tol or Tolerances()
     tp_tol = _tight(tol)
     table = _UTable(spec, units)
-    width = _width_fn(spec, units, tp_tol, table)
     m1 = units.m1
     target = level.q * math.pi
 
     def residual(E: float) -> float:
-        d = width(E)
+        d = turning_points(spec, E, units, tp_tol, table).d
         if d < _TINY_WIDTH * (1.0 + abs(E)):
             return -target
         return m1 * math.sqrt(E) * d - target
@@ -316,14 +301,8 @@ def q_function(
     """
     units = units or UnitSystem()
     tol = tol or Tolerances()
-    probe = potentials.analytic_q(spec, _probe_point(spec), units)
-    if probe is not None:
-        def analytic(x: float) -> float:
-            value = potentials.analytic_q(spec, x, units)
-            assert value is not None
-            return value
-
-        return analytic
+    if spec.closed_form:
+        return lambda x: spec.q(x, units)
     if anchor is None:
         raise InvalidEnergy("numeric Q evaluator needs an anchor point")
     m1 = units.m1
@@ -341,15 +320,6 @@ def q_function(
         return m1 * numerics.integrate(sqrt_u, x, anchor, tol)
 
     return numeric
-
-
-def _probe_point(spec: PotentialSpec) -> float:
-    dom = potentials.domain_of(spec)
-    if math.isfinite(dom.lo) and math.isfinite(dom.hi):
-        return 0.5 * (dom.lo + dom.hi)
-    if math.isfinite(dom.lo):
-        return dom.lo + 1.0
-    return 1.0
 
 
 def wavefunction(

@@ -158,6 +158,24 @@ class TestScatter:
         code, _, _ = run(["scatter", "--energy", "1"], capsys)
         assert code == 4
 
+    @pytest.mark.parametrize("x", ["nan", "inf"])
+    def test_non_finite_probe_is_4(self, x, capsys):
+        code, out, err = run(["scatter", "--u0", "1", "--energy", "2", "--x", x], capsys)
+        assert (code, out) == (4, "")
+        assert err == f"turnpoint: invalid input: x probe must be finite, got {x}\n"
+
+    def test_too_many_energies_is_4_before_any_work(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("built the energies of a refused count")
+
+        monkeypatch.setattr(cli.np, "linspace", fail)
+        count = str(cli.MAX_SAMPLES + 1)
+        code, out, err = run(
+            ["scatter", "--u0", "1", "--e-min", "1", "--e-max", "2", "--e-count", count], capsys
+        )
+        assert (code, out) == (4, "")
+        assert err == f"turnpoint: invalid input: e-count must be <= 1000000, got {count}\n"
+
 
 class TestCompare:
     def test_isw_rows_and_ratio(self, capsys):
@@ -203,6 +221,21 @@ class TestConfigLayering:
         cfg.write_text("potential isw:L=1\n")
         code, _, err = run(["solve", "--config", str(cfg)], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "command, lines, key, value",
+        [
+            ("solve", "potential = sho:omega=1\nn_max = abc", "n_max", "abc"),
+            ("solve", "potential = sho:omega=1\ntol_energy = xyz", "tol_energy", "xyz"),
+            ("scatter", "u0 = 1\nenergy = 1,a", "energy", "1,a"),
+        ],
+    )
+    def test_non_numeric_config_value_is_2(self, command, lines, key, value, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(lines + "\n")
+        code, out, err = run([command, "--config", str(cfg)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"turnpoint: parse error: config file {cfg}: bad value {value!r} for {key}\n"
 
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, _ = run(["solve", "--config", str(tmp_path / "nope.cfg")], capsys)

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+from dataclasses import fields
 
 import pytest
 
@@ -85,6 +86,24 @@ class TestSpecParsing:
         assert "compiled" not in repr(a)
         copy = pickle.loads(pickle.dumps(a))
         assert copy == a and copy.compiled(0.5) == 0.25
+
+    def test_every_family_but_expr_is_registered(self):
+        assert set(potentials.FAMILIES) == set(potentials.PotentialSpec.__subclasses__()) - {Expression}
+
+    @pytest.mark.parametrize("cls", potentials.FAMILIES, ids=lambda cls: cls.kind)
+    def test_every_family_parses_its_lower_cased_fields(self, cls):
+        keys = [f.name.lower() for f in fields(cls)]
+        spec = cls(*(1.25 * (i + 1) for i in range(len(keys))))
+        doc = spec_to_dict(spec)
+        assert doc.pop("kind") == cls.kind
+        assert parse_potential_spec(f"{cls.kind}:" + ",".join(f"{k}={v!r}" for k, v in doc.items())) == spec
+        lower = [f"{k}={v!r}" for k, v in zip(keys, doc.values())]
+        assert parse_potential_spec(f"{cls.kind}:" + ",".join(lower)) == spec
+        for i, key in enumerate(keys):
+            with pytest.raises(SpecParseError, match=f"missing parameters: {key}$"):
+                parse_potential_spec(f"{cls.kind}:" + ",".join(lower[:i] + lower[i + 1:]))
+        with pytest.raises(SpecParseError, match="unknown parameter 'kind'"):
+            parse_potential_spec(f"{cls.kind}:" + ",".join(lower + ["kind=1"]))
 
     def test_spec_to_dict_round_trip(self):
         doc = spec_to_dict(TrigWell(u0=1.0, a=2.0))
@@ -180,6 +199,14 @@ class TestAnalyticTurningPoints:
         assert potentials.analytic_turning_points(Step(u0=1.0), 2.0, U) is None
         expr = parse_potential_spec("expr:x^2;domain=-5..5")
         assert potentials.analytic_turning_points(expr, 1.0, U) is None
+
+    def test_no_minimum_scan_without_a_closed_form(self, monkeypatch):
+        def fail(self):
+            raise AssertionError("scanned for the minimum of an expression")
+
+        monkeypatch.setattr(Expression, "u_min", fail)
+        expr = parse_potential_spec("expr:x^2;domain=-5..5")
+        assert potentials.analytic_turning_points(expr, -1.0, U) is None
 
 
 class TestAnalyticQ:

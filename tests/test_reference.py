@@ -85,12 +85,18 @@ class TestBoundStates:
         with pytest.raises(InvalidInput):
             reference.shoot_bound_states(InfiniteSquareWell(L=1.0), 0, units=U)
 
+    @pytest.mark.parametrize("spec", [InfiniteSquareWell(L=2.0), TrigWell(u0=1000.0, a=1.0)])
+    def test_a_finite_domain_is_the_box(self, spec):
+        # E / u0 = 1e-3 puts the trig turning points within 0.02 of a / 2
+        grid = reference._build_grid(spec, 1.0, reference.NumerovConfig(box_padding=1.0), U)
+        assert (grid[0], grid[-1]) == (0.0, spec.domain().hi)
+
 
 # -- the oracle against exact spectra ---------------------------------------
 
 # zeros of Ai and Ai' (Abramowitz & Stegun table 10.13)
 _AIRY_ZEROS = (-2.338107410459767, -4.087949444130971)
-_AIRY_PRIME_ZEROS = (-1.018792971647471, -3.248197582179837)
+_AIRY_PRIME_ZEROS = (-1.018792971647471, -3.248197582179837, -4.820099211178735)
 
 
 def _poschl_teller(u0: float, a: float, k: int) -> float:
@@ -125,11 +131,41 @@ _EXACT = [
 ]
 
 
+# level 4 of the same wells and of the oscillator; its wider boxes rescale
+# psi many times per pass, which once underflowed the early oscillations
+_LEVEL_4 = [
+    (TrigWell(u0=1.0, a=1.0), _poschl_teller(1.0, 1.0, 4)),
+    (TrigWell(u0=3.0, a=2.0), _poschl_teller(3.0, 2.0, 4)),
+    (ParabolicWell(u0=1.0, a=1.0), _radial_oscillator(1.0, 1.0, 4) - 2.0),
+    (ParabolicWell(u0=2.0, a=0.5), _radial_oscillator(8.0, 0.5, 4) - 4.0),
+    (QuadraticInverse(a=1.0, b=1.0), _radial_oscillator(1.0, 1.0, 4)),
+    (QuadraticInverse(a=0.5, b=3.0), _radial_oscillator(0.5, 3.0, 4)),
+    (QuadraticInverse(a=0.02, b=0.5), _radial_oscillator(0.02, 0.5, 4)),
+    (VWell(u0=1.0), _vwell(1.0, 4)),
+    (VWell(u0=2.5), _vwell(2.5, 4)),
+    (HarmonicOscillator(omega=1.0), 4.5),
+]
+
+
 class TestExactSpectra:
     @pytest.mark.parametrize("spec, exact", _EXACT, ids=[repr(spec) for spec, _ in _EXACT])
     def test_levels_0_to_3(self, spec, exact):
         levels = reference.shoot_bound_states(spec, 4, units=U)
         assert [lv.energy for lv in levels] == pytest.approx(exact, rel=5e-5)
+
+    @pytest.mark.parametrize("spec, exact", _LEVEL_4, ids=[repr(spec) for spec, _ in _LEVEL_4])
+    def test_level_4(self, spec, exact):
+        levels = reference.shoot_bound_states(spec, 5, units=U)
+        assert levels[4].energy == pytest.approx(exact, rel=5e-5)
+
+    def test_weak_pole_in_a_wide_box(self):
+        # u0 (1/x - x)^2 = 0.05 x^2 + 0.05 / x^2 - 0.1; the pole clip limits
+        # the oracle to about 4e-4 on this weak pole, whatever the grid
+        levels = reference.shoot_bound_states(
+            ParabolicWell(u0=0.05, a=1.0), 5, reference.NumerovConfig(box_padding=10.0), U
+        )
+        exact = [_radial_oscillator(0.05, 0.05, k) - 0.1 for k in range(5)]
+        assert [lv.energy for lv in levels] == pytest.approx(exact, rel=5e-4)
 
 
 # -- the float recurrence against the numpy loop it replaced -----------------
