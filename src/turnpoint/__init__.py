@@ -21,7 +21,6 @@ from .potentials import (
     TurningPoints,
     UnitSystem,
     VWell,
-    analytic_q,
     analytic_turning_points,
     evaluate,
     parse_potential_spec,
@@ -68,7 +67,6 @@ __all__ = [
     "UnitSystem",
     "VWell",
     "WaveFunctionDescriptor",
-    "analytic_q",
     "analytic_turning_points",
     "bisect",
     "bracket_roots",

@@ -29,14 +29,7 @@ from .errors import (
     TurnpointError,
 )
 from .numerics import Tolerances
-from .potentials import (
-    PotentialSpec,
-    Step,
-    UnitSystem,
-    VWell,
-    parse_potential_spec,
-    spec_to_dict,
-)
+from .potentials import PotentialSpec, UnitSystem, parse_potential_spec, spec_to_dict
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -48,10 +41,6 @@ MAX_SAMPLES = 1_000_000
 
 _PARSE_ERRORS = (SpecParseError, ExpressionSyntaxError)
 _CONVERGENCE_ERRORS = (ConvergenceFailure, QuadratureDivergence, MaxIterationsExceeded)
-
-# known variational upper bound for the V-form well ground state, in units
-# of (hbar^2 U0^2 / m)^(1/3): 1.5 * (1/(2 pi))^(1/3) ~= 0.813
-_VWELL_VARIATIONAL_COEFF = 1.5 * (0.5 / math.pi) ** (1.0 / 3.0)
 
 
 @dataclass
@@ -119,8 +108,6 @@ def _check_residual(residual: float, scale: float, tol: Tolerances) -> None:
 
 
 def _solve_levels(config: RunConfig) -> tuple[solver.GroundState, list[solver.EnergyLevel]]:
-    if isinstance(config.potential, Step):
-        raise InvalidInput("the step potential has no bound levels; use the scatter subcommand")
     ground = solver.ground_state_energy(config.potential, config.units, config.tolerances)
     _check_residual(ground.residual, ground.energy, config.tolerances)
     levels: list[solver.EnergyLevel] = []
@@ -269,13 +256,9 @@ def run_compare(config: RunConfig, numerov: reference.NumerovConfig | None = Non
         for (index, variant, value), ref in zip(erbil_rows, ref_levels)
     ]
     doc["comparison"] = comparison
-    if isinstance(config.potential, VWell):
-        u = config.units
-        scale = (u.hbar ** 2 * config.potential.u0 ** 2 / u.mass) ** (1.0 / 3.0)
-        doc["known_ground_state_estimate"] = {
-            "method": "variational",
-            "value": _VWELL_VARIATIONAL_COEFF * scale,
-        }
+    estimate = config.potential.ground_estimate(config.units)
+    if estimate is not None:
+        doc["known_ground_state_estimate"] = {"method": "variational", "value": estimate}
     return doc
 
 
@@ -363,6 +346,13 @@ def _setting(args: argparse.Namespace, file_values: dict[str, str], key: str, ca
     return default
 
 
+def _units(args: argparse.Namespace, file_values: dict[str, str]) -> UnitSystem:
+    return UnitSystem(
+        hbar=_setting(args, file_values, "hbar", float, 1.0),
+        mass=_setting(args, file_values, "mass", float, 1.0),
+    )
+
+
 def _make_config(args: argparse.Namespace, file_values: dict[str, str]) -> RunConfig:
     spec_text = _setting(args, file_values, "potential", str, None)
     if not spec_text:
@@ -380,15 +370,10 @@ def _make_config(args: argparse.Namespace, file_values: dict[str, str]) -> RunCo
         else:
             energy_rel = 1e-10
     quad_rel = _setting(args, file_values, "tol_quad", float, 1e-10)
-    tolerances = Tolerances(energy_rel=energy_rel, quad_rel=quad_rel)
-    units = UnitSystem(
-        hbar=_setting(args, file_values, "hbar", float, 1.0),
-        mass=_setting(args, file_values, "mass", float, 1.0),
-    )
     return RunConfig(
+        tolerances=Tolerances(energy_rel=energy_rel, quad_rel=quad_rel),
+        units=_units(args, file_values),
         potential=parse_potential_spec(spec_text),
-        units=units,
-        tolerances=tolerances,
         n_max=_setting(args, file_values, "n_max", int, 3),
         variant=_setting(args, file_values, "variant", str, "all"),
     )
@@ -411,10 +396,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "scatter":
         if fmt != "json":
             raise InvalidInput("scatter emits JSON only")
-        units = UnitSystem(
-            hbar=_setting(args, file_values, "hbar", float, 1.0),
-            mass=_setting(args, file_values, "mass", float, 1.0),
-        )
+        units = _units(args, file_values)
         u0 = _setting(args, file_values, "u0", float, None)
         if u0 is None:
             raise InvalidInput("scatter requires --u0")
@@ -424,6 +406,9 @@ def _dispatch(args: argparse.Namespace) -> int:
         e_min = _setting(args, file_values, "e_min", float, None)
         e_max = _setting(args, file_values, "e_max", float, None)
         e_count = _setting(args, file_values, "e_count", int, None)
+        for flag, value in (("--u0", u0), ("--e-min", e_min), ("--e-max", e_max)):
+            if value is not None and not math.isfinite(value):
+                raise InvalidInput(f"{flag} must be finite, got {value}")
         if e_min is not None or e_max is not None or e_count is not None:
             if None in (e_min, e_max, e_count) or e_count < 2 or not e_min < e_max:
                 raise InvalidInput("energy range needs --e-min < --e-max and --e-count >= 2")

@@ -2,9 +2,10 @@
 turning points and action integrals, and pointwise evaluation.
 
 Each built-in family is a dataclass that evaluates U and knows its domain,
-minimum and length scale, and its closed-form turning points and Q(x)
-antiderivative where they exist; everything else falls back to the
-numeric kernel. Infinite walls are represented by DomainError outside
+minimum, length and energy scales, and, where they exist, its closed-form
+turning points and Q(x) antiderivative, a known ground-energy estimate and
+the inverse-square pole the Numerov box must avoid; everything else falls
+back to the numeric kernel. Infinite walls are represented by DomainError outside
 the finite domain, never by a sentinel infinity, so quadrature and
 bracketing never sample infinite values.
 """
@@ -42,13 +43,10 @@ class UnitSystem:
 class Domain:
     lo: float
     hi: float
-    kind: str = "finite"  # finite | half_line_positive | full_line
 
     def __post_init__(self):
         if not self.lo < self.hi:
             raise InvalidInput(f"domain requires lo < hi, got [{self.lo}, {self.hi}]")
-        if self.kind == "half_line_positive" and self.lo != 0.0:
-            raise InvalidInput("half_line_positive domain must start at 0")
 
     def contains(self, x: float) -> bool:
         return self.lo < x < self.hi
@@ -82,6 +80,7 @@ class PotentialSpec:
 
     kind = "abstract"
     closed_form = False  # closed-form turning points and Q
+    pole_coeff = None  # c of a c / x^2 pole at x = 0, where the Numerov box is clipped
 
     def __post_init__(self):
         for f in fields(self):
@@ -95,7 +94,7 @@ class PotentialSpec:
 
     def domain(self) -> Domain:
         """The domain on which the potential may be evaluated."""
-        return Domain(-math.inf, math.inf, "full_line")
+        return Domain(-math.inf, math.inf)
 
     def u_min(self) -> float:
         """Infimum of U over the domain."""
@@ -104,6 +103,19 @@ class PotentialSpec:
     def scale(self, units: UnitSystem) -> float:
         """A length scale for bracket initialization; order of magnitude only."""
         return 1.0
+
+    def energy_scale(self, units: UnitSystem) -> float:
+        """hbar^2 / (m w^2) for the length scale w, floored at 1e-12: the unit
+        of the energy brackets of the level solves and the Numerov oracle."""
+        w = self.scale(units)
+        denom = units.mass * w * w
+        if not (denom and math.isfinite(units.hbar ** 2 / denom)):
+            raise InvalidInput(f"{self.kind}: length scale {w} gives no finite energy scale hbar^2/(m w^2)")
+        return max(units.hbar ** 2 / denom, 1e-12)
+
+    def ground_estimate(self, units: UnitSystem) -> float | None:
+        """A known variational upper bound on the ground energy, or None."""
+        return None
 
     def turning_points(self, E: float, units: UnitSystem) -> tuple[TurningPoints, ...] | None:
         """Closed-form turning points for E above the minimum, or None."""
@@ -134,7 +146,7 @@ class InfiniteSquareWell(PotentialSpec):
         return 0.0
 
     def domain(self):
-        return Domain(0.0, self.L, "finite")
+        return Domain(0.0, self.L)
 
     def scale(self, units):
         return self.L
@@ -189,7 +201,7 @@ class TrigWell(PotentialSpec):
         return self.u0 * (c / s) ** 2
 
     def domain(self):
-        return Domain(0.0, self.a, "finite")
+        return Domain(0.0, self.a)
 
     def scale(self, units):
         return self.a
@@ -220,6 +232,10 @@ class VWell(PotentialSpec):
     def scale(self, units):
         return (units.hbar ** 2 / (units.mass * self.u0)) ** (1.0 / 3.0)
 
+    def ground_estimate(self, units):
+        # 1.5 * (1/(2 pi))^(1/3) ~= 0.813 in units of (hbar^2 U0^2 / m)^(1/3)
+        return 1.5 * (0.5 / math.pi) ** (1.0 / 3.0) * (units.hbar ** 2 * self.u0 ** 2 / units.mass) ** (1.0 / 3.0)
+
     def turning_points(self, E, units):
         x2 = E / self.u0
         return (TurningPoints(-x2, x2),)
@@ -238,13 +254,17 @@ class ParabolicWell(PotentialSpec):
     kind = "parab"
     closed_form = True
 
+    @property
+    def pole_coeff(self):
+        return self.u0 * self.a ** 2
+
     def evaluate(self, x, units):
         if x <= 0.0:
             raise DomainError(f"x={x} outside the parabolic well (x > 0)")
         return self.u0 * (self.a / x - x / self.a) ** 2
 
     def domain(self):
-        return Domain(0.0, math.inf, "half_line_positive")
+        return Domain(0.0, math.inf)
 
     def scale(self, units):
         return self.a
@@ -268,6 +288,10 @@ class QuadraticInverse(PotentialSpec):
     b: float
     kind = "axb"
     closed_form = True
+
+    @property
+    def pole_coeff(self):
+        return self.b
 
     def evaluate(self, x, units):
         if x == 0.0:
@@ -305,6 +329,9 @@ class Step(PotentialSpec):
 
     def evaluate(self, x, units):
         return 0.0 if x < 0.0 else self.u0
+
+    def energy_scale(self, units):
+        raise InvalidInput("the step potential has no bound levels; use the scatter subcommand")
 
 
 @dataclass(frozen=True)
@@ -383,12 +410,6 @@ def analytic_turning_points(
     return spec.turning_points(E, units or UnitSystem())
 
 
-def analytic_q(spec: PotentialSpec, x: float, units: UnitSystem | None = None) -> float | None:
-    """Closed-form Q(x) = m1 * integral of sqrt(U) with zero constant, or
-    None (Expression, Step). The normalization amplitude absorbs the constant."""
-    return spec.q(x, units or UnitSystem())
-
-
 def parse_potential_spec(text: str) -> PotentialSpec:
     """Parse `family:key=value[,key=value...]` or `expr:<expression>;domain=<lo>..<hi>`."""
     text = text.strip()
@@ -414,7 +435,7 @@ def parse_potential_spec(text: str) -> PotentialSpec:
         if not lo < hi:
             raise SpecParseError(f"empty domain [{lo}, {hi}]")
         ast = expressions.parse(expr_src)
-        return Expression(ast=ast, dom=Domain(lo, hi, "finite"), source=expr_src.strip())
+        return Expression(ast=ast, dom=Domain(lo, hi), source=expr_src.strip())
     if family not in _FAMILIES:
         raise SpecParseError(f"unknown potential family {family!r}")
     cls = _FAMILIES[family]

@@ -141,14 +141,9 @@ def _build_grid(
     hi = min(tp.x2 + config.box_padding * tp.d, dom.hi)
     # inverse-square poles: clip where U is ~1e4 times the scan energy so the
     # stencil stays stable (h^2 * g moderate); psi is pinned to zero there
-    pole_coeff = None
-    if isinstance(spec, potentials.QuadraticInverse):
-        pole_coeff = spec.b
-    elif isinstance(spec, potentials.ParabolicWell):
-        pole_coeff = spec.u0 * spec.a ** 2
-    if pole_coeff is not None:
+    if spec.pole_coeff is not None:
         cap = 1e4 * max(E, 1.0)
-        lo = max(lo, math.sqrt(pole_coeff / cap))
+        lo = max(lo, math.sqrt(spec.pole_coeff / cap))
     return np.linspace(lo, hi, config.n_points)
 
 
@@ -164,8 +159,7 @@ def shoot_bound_states(
     if n_max < 1:
         raise InvalidInput(f"n_max must be >= 1, got {n_max}")
     floor = potentials.u_min(spec)
-    w = spec.scale(units)
-    scale = max(units.hbar ** 2 / (units.mass * w * w), 1e-12)
+    scale = spec.energy_scale(units)
     # U per box, keyed by the endpoints' bits: the expansion ladder
     # floor + scale * 2^j, and so its boxes, repeat for every level
     tables: dict[bytes, np.ndarray] = {}

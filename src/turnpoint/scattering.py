@@ -22,6 +22,8 @@ REGIME_ABOVE = "above_barrier"
 REGIME_AT = "at_barrier"
 REGIME_BELOW = "below_barrier"
 
+_HUGE = 2.0 ** 1021  # above this, a sum of five such energies can overflow
+
 
 @dataclass(frozen=True)
 class ScatteringCoefficients:
@@ -54,7 +56,8 @@ def match_coefficients(
         denom = 2j * K - a
         b1 = a / denom
         a2 = 2j * K / denom
-        R = U0 / (4.0 * E + U0)
+        s = 2.0 ** -8 if E > _HUGE else 1.0  # 4E + U0 can overflow; scaling by s is exact
+        R = U0 * s / (4.0 * (E * s) + U0 * s)
         T0 = 1.0 - R  # keeps the T0 + R = 1 identity within one rounding
         regime = REGIME_ABOVE if E > U0 else REGIME_AT
         return ScatteringCoefficients(regime, K, a, b1, a2, R, T0)
@@ -87,5 +90,7 @@ def raw_subbarrier_R(E: float, U0: float) -> float:
     """
     if not (0.0 < E <= U0):
         raise InvalidInput(f"raw sub-barrier R is defined for 0 < E <= U0, got E={E}, U0={U0}")
+    if U0 > _HUGE:  # the sums below can overflow; the ratio is homogeneous, the scaling exact
+        E, U0 = E * 2.0 ** -1000, U0 * 2.0 ** -1000
     se, su = math.sqrt(E), math.sqrt(U0)
     return (E + (se - su) ** 2) / (E + (se + su) ** 2)

@@ -96,7 +96,6 @@ class WaveFunctionDescriptor:
     tp: TurningPoints
     amplitude: float
     q_eval: Callable[[float], float]
-    mirrored: bool = False  # QuadraticInverse: identical well mirrored at -x0
 
     def trig_factor(self, x: float) -> float:
         phase = self.level.q * math.pi * (x - self.tp.x0) / self.tp.d
@@ -159,8 +158,8 @@ def turning_points(
     up to 4097 points, the next one scanned only when the last showed none.
     U on those grids is read from `_table`, which a level solve shares
     across all its energies; without one, a table for this call alone is
-    used. For QuadraticInverse the positive-side pair is returned (the
-    mirrored well carries the same spectrum by symmetry).
+    used. For a well mirrored about a pole (`axb`) the positive-side pair is
+    returned (the mirrored well carries the same spectrum by symmetry).
     """
     units = units or UnitSystem()
     tol = tol or Tolerances()
@@ -205,9 +204,7 @@ def _tight(tol: Tolerances) -> Tolerances:
 def _energy_bracket(spec: PotentialSpec, units: UnitSystem) -> tuple[float, float]:
     """Initial [E_lo, E_hi] for the self-consistent solves."""
     floor = potentials.u_min(spec)
-    w = spec.scale(units)
-    scale = units.hbar ** 2 / (units.mass * w * w)
-    scale = max(scale, 1e-12)
+    scale = spec.energy_scale(units)
     return floor + 1e-9 * scale, floor + 1e3 * scale
 
 
@@ -222,8 +219,6 @@ def s_integral(
     units = units or UnitSystem()
     tol = tol or Tolerances()
     tp = turning_points(spec, E, units, tol)
-    if isinstance(spec, potentials.InfiniteSquareWell):
-        return 0.0
     return numerics.integrate(lambda x: potentials.evaluate(spec, x, units), tp.x1, tp.x2, tol)
 
 
@@ -334,13 +329,7 @@ def wavefunction(
     tol = tol or Tolerances()
     tp = turning_points(spec, E, units, tol)
     q_eval = q_function(spec, units, tol, anchor=tp.x0)
-    return WaveFunctionDescriptor(
-        level=level,
-        tp=tp,
-        amplitude=1.0,
-        q_eval=q_eval,
-        mirrored=isinstance(spec, potentials.QuadraticInverse),
-    )
+    return WaveFunctionDescriptor(level=level, tp=tp, amplitude=1.0, q_eval=q_eval)
 
 
 def normalize(desc: WaveFunctionDescriptor, tol: Tolerances | None = None) -> WaveFunctionDescriptor:

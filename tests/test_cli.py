@@ -2,10 +2,14 @@
 
 import json
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from turnpoint import cli
+from turnpoint.potentials import UnitSystem
 
 
 def run(argv, capsys):
@@ -176,6 +180,49 @@ class TestScatter:
         assert (code, out) == (4, "")
         assert err == f"turnpoint: invalid input: e-count must be <= 1000000, got {count}\n"
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--u0", "inf", "--energy", "2"], "--u0 must be finite, got inf"),
+            (["--u0", "nan", "--energy", "2"], "--u0 must be finite, got nan"),
+            (["--u0", "1", "--e-min", "1", "--e-max", "inf", "--e-count", "3"], "--e-max must be finite, got inf"),
+            (["--u0", "1", "--e-min=-inf", "--e-max", "1", "--e-count", "3"], "--e-min must be finite, got -inf"),
+            (["--u0", "1", "--e-min", "nan", "--e-max", "1", "--e-count", "3"], "--e-min must be finite, got nan"),
+            (["--u0", "1", "--e-min", "1", "--e-max", "nan", "--e-count", "3"], "--e-max must be finite, got nan"),
+        ],
+    )
+    def test_non_finite_range_or_u0_is_4_before_any_work(self, flags, message, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("built the energies of a refused range")
+
+        monkeypatch.setattr(cli.np, "linspace", fail)
+        code, out, err = run(["scatter", *flags], capsys)
+        assert (code, out) == (4, "")
+        assert err == f"turnpoint: invalid input: {message}\n"
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)
+
+
+class TestScatterProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        _POSITIVE,
+        st.lists(_POSITIVE, min_size=1, max_size=5),
+        st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    )
+    def test_strict_json_and_unit_sum(self, u0, energies, x):
+        doc = cli.run_scatter(u0, energies, x, UnitSystem())
+        parsed = json.loads(cli.to_json(doc), parse_constant=_reject_constant)
+        assert len(parsed["records"]) == len(energies)
+        for record in doc["records"]:
+            # T0 = 1 - R is one rounding, so the exact sum is within half an ulp of 1
+            assert abs(Fraction(record["T0"]) + Fraction(record["R"]) - 1) <= Fraction(math.ulp(1.0)) / 2
+
 
 class TestCompare:
     def test_isw_rows_and_ratio(self, capsys):
@@ -268,6 +315,19 @@ class TestExitCodes:
         code, _, err = run(["solve", "--potential", "step:u0=1"], capsys)
         assert code == 4
         assert "scatter" in err
+
+    @pytest.mark.parametrize("command", ["solve", "compare", "wavefunction"])
+    def test_every_level_command_refuses_the_step(self, command, capsys):
+        code, out, err = run([command, "--potential", "step:u0=1"], capsys)
+        assert (code, out) == (4, "")
+        assert err == "turnpoint: invalid input: the step potential has no bound levels; use the scatter subcommand\n"
+
+    @pytest.mark.parametrize("spec", ["isw:L=1e-300", "isw:L=1e-160", "expr:x^2;domain=0..1e-170"])
+    def test_tiny_length_scale_is_4(self, spec, capsys):
+        code, out, err = run(["solve", "--potential", spec, "--n-max", "1"], capsys)
+        assert (code, out) == (4, "")
+        assert err.startswith("turnpoint: invalid input: ") and "gives no finite energy scale" in err
+        assert err.count("\n") == 1
 
     def test_unbound_potential_is_3(self, capsys):
         # monotone ramp: no second turning point, the solve cannot converge

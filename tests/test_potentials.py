@@ -75,7 +75,7 @@ class TestSpecParsing:
     def test_expression_domain_must_be_finite(self):
         ast = parse_potential_spec("expr:x^2;domain=-1..1").ast
         with pytest.raises(InvalidInput):
-            Expression(ast=ast, dom=Domain(-math.inf, math.inf, "full_line"))
+            Expression(ast=ast, dom=Domain(-math.inf, math.inf))
 
     def test_expression_compiles_once_and_compares_by_source(self):
         a = parse_potential_spec("expr:x^2;domain=-1..1")
@@ -211,16 +211,16 @@ class TestAnalyticTurningPoints:
 
 class TestAnalyticQ:
     def test_isw_is_zero(self):
-        assert potentials.analytic_q(InfiniteSquareWell(L=1.0), 0.5, U) == 0.0
+        assert InfiniteSquareWell(L=1.0).q(0.5, U) == 0.0
 
     def test_sho_quadratic_coefficient(self):
         # Q = a x^2 with a = m omega / (2 hbar)
         spec = HarmonicOscillator(omega=3.0)
-        assert potentials.analytic_q(spec, 2.0, U) == pytest.approx(6.0, rel=1e-15)
+        assert spec.q(2.0, U) == pytest.approx(6.0, rel=1e-15)
 
     def test_vwell_even_in_x(self):
         spec = VWell(u0=1.0)
-        assert potentials.analytic_q(spec, -1.5, U) == potentials.analytic_q(spec, 1.5, U)
+        assert spec.q(-1.5, U) == spec.q(1.5, U)
 
     def test_derivative_matches_m1_sqrt_u(self):
         # dQ/dx = m1 sqrt(U) away from kinks and poles
@@ -233,16 +233,60 @@ class TestAnalyticQ:
         ]
         h = 1e-6
         for spec, x in cases:
-            q_plus = potentials.analytic_q(spec, x + h, U)
-            q_minus = potentials.analytic_q(spec, x - h, U)
+            q_plus = spec.q(x + h, U)
+            q_minus = spec.q(x - h, U)
             slope = (q_plus - q_minus) / (2.0 * h)
             expected = U.m1 * math.sqrt(potentials.evaluate(spec, x, U))
             assert abs(abs(slope) - expected) < 1e-5 * (1.0 + expected)
 
     def test_none_for_step_and_expression(self):
-        assert potentials.analytic_q(Step(u0=1.0), 1.0, U) is None
+        assert Step(u0=1.0).q(1.0, U) is None
         expr = parse_potential_spec("expr:x^2;domain=-5..5")
-        assert potentials.analytic_q(expr, 0.5, U) is None
+        assert expr.q(0.5, U) is None
+
+
+class TestFamilyHooks:
+    SIX = [
+        InfiniteSquareWell(L=2.5),
+        HarmonicOscillator(omega=0.7),
+        TrigWell(u0=1.3, a=0.4),
+        VWell(u0=3.0),
+        ParabolicWell(u0=0.05, a=2.0),
+        QuadraticInverse(a=2.0, b=0.5),
+    ]
+
+    @pytest.mark.parametrize("spec", SIX, ids=lambda spec: spec.kind)
+    @pytest.mark.parametrize("units", [U, UnitSystem(hbar=1.5, mass=0.7), UnitSystem(hbar=1e-3, mass=1e4)])
+    def test_energy_scale_is_the_inline_formula_bit_for_bit(self, spec, units):
+        w = spec.scale(units)
+        expected = max(units.hbar ** 2 / (units.mass * w * w), 1e-12)
+        assert spec.energy_scale(units).hex() == expected.hex()
+
+    def test_step_has_no_energy_scale(self):
+        with pytest.raises(InvalidInput, match="^the step potential has no bound levels; use the scatter subcommand$"):
+            Step(u0=1.0).energy_scale(U)
+
+    @pytest.mark.parametrize("text", ["isw:L=1e-300", "isw:L=1e-160", "expr:x^2;domain=0..1e-170"])
+    def test_tiny_length_scale_is_invalid_input(self, text):
+        with pytest.raises(InvalidInput, match="gives no finite energy scale"):
+            parse_potential_spec(text).energy_scale(U)
+
+    def test_huge_length_scale_is_floored(self):
+        assert InfiniteSquareWell(L=1e200).energy_scale(U) == 1e-12
+
+    def test_only_the_vwell_has_a_ground_estimate(self):
+        units = UnitSystem(hbar=1.5, mass=0.7)
+        for spec in self.SIX:
+            if spec.kind != "vwell":
+                assert spec.ground_estimate(units) is None
+        scale = (units.hbar ** 2 * 3.0 ** 2 / units.mass) ** (1.0 / 3.0)
+        assert VWell(u0=3.0).ground_estimate(units) == 1.5 * (0.5 / math.pi) ** (1.0 / 3.0) * scale
+
+    def test_pole_coefficients(self):
+        poles = {spec.kind: spec.pole_coeff for spec in self.SIX}
+        assert poles == {"isw": None, "sho": None, "trig": None, "vwell": None, "parab": 0.2, "axb": 0.5}
+        assert Step(u0=1.0).pole_coeff is None
+        assert parse_potential_spec("expr:x^2;domain=-1..1").pole_coeff is None
 
 
 class TestUnitSystem:

@@ -65,6 +65,10 @@ class TestBoundStates:
             assert lv.energy == pytest.approx(exact, rel=1e-7)
             assert lv.node_count == k == lv.n_index
 
+    def test_step_has_no_bound_levels(self):
+        with pytest.raises(InvalidInput, match="no bound levels"):
+            reference.shoot_bound_states(potentials.Step(u0=1.0), 1, units=U)
+
     def test_sho_half_integer_ladder(self):
         levels = reference.shoot_bound_states(HarmonicOscillator(omega=1.0), 3, units=U)
         for k, lv in enumerate(levels):

@@ -100,3 +100,17 @@ class TestBelowBarrier:
     def test_raw_ratio_rejected_above_barrier(self):
         with pytest.raises((InvalidEnergy, InvalidInput, InvalidRegime)):
             scattering.raw_subbarrier_R(2.0, 1.0)
+
+
+class TestNearFloatMax:
+    @pytest.mark.parametrize("E", [4e307, 1e308, 1.79e308])
+    def test_r_at_barrier_stays_one_fifth(self, E):
+        assert scattering.match_coefficients(E, E, U).R == pytest.approx(0.2, rel=1e-15)
+        assert scattering.raw_subbarrier_R(E, E) == pytest.approx(0.2, rel=1e-15)
+
+    def test_huge_ratios_match_the_scaled_closed_forms(self):
+        E, U0 = 1.5e308, 3e306
+        assert scattering.match_coefficients(E, U0, U).R == pytest.approx(U0 / E / (4.0 + U0 / E), rel=1e-15)
+        r = math.sqrt(U0 / E)
+        expected = (r * r + (r - 1.0) ** 2) / (r * r + (r + 1.0) ** 2)
+        assert scattering.raw_subbarrier_R(U0, E) == pytest.approx(expected, rel=1e-15)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from turnpoint import numerics, potentials, solver
-from turnpoint.errors import InvalidEnergy, InvalidLevel, NoBoundRegion, TurnpointError
+from turnpoint.errors import InvalidEnergy, InvalidInput, InvalidLevel, NoBoundRegion, TurnpointError
 from turnpoint.potentials import (
     HarmonicOscillator,
     InfiniteSquareWell,
@@ -91,6 +91,24 @@ class TestSIntegral:
         assert solver.delta_equivalent_energy(2.0, U) == pytest.approx(-2.0, rel=1e-15)
         with pytest.raises(InvalidEnergy):
             solver.delta_equivalent_energy(-1.0, U)
+
+
+class TestStepHasNoLevels:
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda spec: solver.ground_state_energy(spec, U),
+            lambda spec: solver.excited_energy(spec, solver.LevelSpec(1, "general"), U),
+        ],
+        ids=["ground", "excited"],
+    )
+    def test_refused_before_any_scan(self, solve, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("scanned for levels of the step")
+
+        monkeypatch.setattr(numerics, "solve_self_consistent", fail)
+        with pytest.raises(InvalidInput, match="^the step potential has no bound levels"):
+            solve(potentials.Step(u0=1.0))
 
 
 class TestGroundState:
@@ -198,14 +216,6 @@ class TestWaveFunctions:
             assert asym.trig_factor(asym.tp.x0 + s) == pytest.approx(
                 -asym.trig_factor(asym.tp.x0 - s), rel=1e-12
             )
-
-    def test_mirrored_flag_only_for_double_well(self):
-        lone = self._normalized(VWell(u0=1.0), solver.LevelSpec(1, "symmetric"))
-        assert lone.mirrored is False
-        level = solver.LevelSpec(1, "symmetric")
-        lv = solver.excited_energy(QuadraticInverse(a=1.0, b=1.0), level, U)
-        twin = solver.wavefunction(QuadraticInverse(a=1.0, b=1.0), level, lv.energy, U)
-        assert twin.mirrored is True
 
     def test_sample_returns_pairs(self):
         desc = self._normalized(InfiniteSquareWell(L=1.0), solver.LevelSpec(1, "general"))
