@@ -274,6 +274,13 @@ def render_comparison_table(doc: dict) -> str:
     return "\n".join(lines)
 
 
+# every key some subcommand reads from a config file; any other key is refused
+_FILE_KEYS = frozenset({
+    "out", "hbar", "mass", "potential", "n_max", "variant", "tol_energy", "tol_quad",
+    "samples", "u0", "energy", "e_min", "e_max", "e_count", "x",
+})
+
+
 def _read_config_file(path: str) -> dict[str, str]:
     """Flat `key = value` file; '#' starts a comment."""
     values: dict[str, str] = {}
@@ -286,10 +293,28 @@ def _read_config_file(path: str) -> dict[str, str]:
                 if "=" not in line:
                     raise SpecParseError(f"{path}:{lineno}: expected key = value")
                 key, _, value = line.partition("=")
-                values[key.strip().lower().replace("-", "_")] = value.strip()
+                key = key.strip().lower().replace("-", "_")
+                if key not in _FILE_KEYS:
+                    raise SpecParseError(f"{path}:{lineno}: unknown key {key!r}")
+                values[key] = value.strip()
     except OSError as exc:
         raise SpecParseError(f"cannot read config file {path}: {exc}") from None
     return values
+
+
+def _add_level_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--potential", help="potential spec, e.g. sho:omega=1 or 'expr:0.5*x^2;domain=-10..10'")
+    p.add_argument("--n-max", type=int)
+    p.add_argument("--variant", choices=[*solver.VARIANTS, "all"])
+    p.add_argument("--tol-energy", type=float)
+    p.add_argument("--tol-quad", type=float)
+
+
+def _add_common_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", help="flat key = value config file; flags override")
+    p.add_argument("--hbar", type=float)
+    p.add_argument("--mass", type=float)
+    p.add_argument("--out", help="output path (default stdout)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -299,39 +324,28 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_shared(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--potential", help="potential spec, e.g. sho:omega=1 or 'expr:0.5*x^2;domain=-10..10'")
-        p.add_argument("--config", help="flat key = value config file; flags override")
-        p.add_argument("--hbar", type=float, default=None)
-        p.add_argument("--mass", type=float, default=None)
-        p.add_argument("--n-max", type=int, default=None, dest="n_max")
-        p.add_argument("--variant", choices=[*solver.VARIANTS, "all"], default=None)
-        p.add_argument("--tol-energy", type=float, default=None, dest="tol_energy")
-        p.add_argument("--tol-quad", type=float, default=None, dest="tol_quad")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=["json", "csv"], default=None)
-
     p_solve = sub.add_parser("solve", help="ground and excited energies")
-    add_shared(p_solve)
-
     p_wf = sub.add_parser("wavefunction", help="normalized wavefunction samples as CSV")
-    add_shared(p_wf)
-    p_wf.add_argument("--n", type=int, default=1)
-    p_wf.add_argument("--samples", type=int, default=None)
-
     p_sc = sub.add_parser("scatter", help="step-potential coefficients")
-    add_shared(p_sc)
-    p_sc.add_argument("--u0", type=float, default=None)
-    p_sc.add_argument("--energy", action="append", type=float, default=None,
-                      help="single energy; repeatable")
-    p_sc.add_argument("--e-min", type=float, default=None, dest="e_min")
-    p_sc.add_argument("--e-max", type=float, default=None, dest="e_max")
-    p_sc.add_argument("--e-count", type=int, default=None, dest="e_count")
-    p_sc.add_argument("--x", type=float, default=None, help="probe position in region II (default 0)")
-
     p_cmp = sub.add_parser("compare", help="side-by-side with the Numerov reference")
-    add_shared(p_cmp)
+    for p in (p_solve, p_wf, p_cmp):
+        _add_level_flags(p)
+    for p in (p_solve, p_wf, p_sc, p_cmp):
+        _add_common_flags(p)
+
+    p_wf.add_argument("--n", type=int, default=1)
+    p_wf.add_argument("--samples", type=int)
+
+    p_sc.add_argument("--u0", type=float)
+    p_sc.add_argument("--energy", action="append", type=float, help="single energy; repeatable")
+    p_sc.add_argument("--e-min", type=float)
+    p_sc.add_argument("--e-max", type=float)
+    p_sc.add_argument("--e-count", type=int)
+    p_sc.add_argument("--x", type=float, help="probe position in region II (default 0)")
     return parser
+
+
+_PARSER = _build_parser()
 
 
 def _setting(args: argparse.Namespace, file_values: dict[str, str], key: str, cast, default):
@@ -390,12 +404,8 @@ def _emit(text: str, out_path: str | None) -> None:
 def _dispatch(args: argparse.Namespace) -> int:
     file_values = _read_config_file(args.config) if args.config else {}
     out_path = _setting(args, file_values, "out", str, None)
-    fmt_default = "csv" if args.command == "wavefunction" else "json"
-    fmt = _setting(args, file_values, "format", str, fmt_default)
 
     if args.command == "scatter":
-        if fmt != "json":
-            raise InvalidInput("scatter emits JSON only")
         units = _units(args, file_values)
         u0 = _setting(args, file_values, "u0", float, None)
         if u0 is None:
@@ -406,7 +416,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         e_min = _setting(args, file_values, "e_min", float, None)
         e_max = _setting(args, file_values, "e_max", float, None)
         e_count = _setting(args, file_values, "e_count", int, None)
-        for flag, value in (("--u0", u0), ("--e-min", e_min), ("--e-max", e_max)):
+        checked = [("--u0", u0), ("--e-min", e_min), ("--e-max", e_max)]
+        for flag, value in checked + [("--energy", E) for E in energies]:
             if value is not None and not math.isfinite(value):
                 raise InvalidInput(f"{flag} must be finite, got {value}")
         if e_min is not None or e_max is not None or e_count is not None:
@@ -427,32 +438,20 @@ def _dispatch(args: argparse.Namespace) -> int:
     config = _make_config(args, file_values)
 
     if args.command == "solve":
-        if fmt != "json":
-            raise InvalidInput("solve emits JSON only")
         _emit(to_json(run_solve(config)) + "\n", out_path)
-        return EXIT_OK
-
-    if args.command == "wavefunction":
-        if fmt != "csv":
-            raise InvalidInput("wavefunction emits CSV only")
+    elif args.command == "wavefunction":
         variant = config.variant if config.variant != "all" else "symmetric"
         samples = _setting(args, file_values, "samples", int, 201)
         _emit(run_wavefunction(config, args.n, variant, samples), out_path)
-        return EXIT_OK
-
-    if args.command == "compare":
-        if fmt != "json":
-            raise InvalidInput("compare emits JSON only")
+    else:
         doc = run_compare(config)
         print(render_comparison_table(doc), file=sys.stderr)
         _emit(to_json(doc) + "\n", out_path)
-        return EXIT_OK
-
-    raise InvalidInput(f"unknown command {args.command!r}")
+    return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return _dispatch(args)
     except _PARSE_ERRORS as exc:

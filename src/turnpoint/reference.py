@@ -160,8 +160,8 @@ def shoot_bound_states(
         raise InvalidInput(f"n_max must be >= 1, got {n_max}")
     floor = potentials.u_min(spec)
     scale = spec.energy_scale(units)
-    # U per box, keyed by the endpoints' bits: the expansion ladder
-    # floor + scale * 2^j, and so its boxes, repeat for every level
+    # U per box, keyed by the endpoints' bits: levels that stop on the same
+    # rung of the expansion ladder floor + scale * 2^j share its box
     tables: dict[bytes, np.ndarray] = {}
 
     def nodes(E: float, grid: np.ndarray) -> int:
@@ -172,21 +172,21 @@ def shoot_bound_states(
         return _count_nodes(np.fromiter(values, dtype=float, count=len(values)))
 
     levels: list[ReferenceLevel] = []
+    e_lo = floor + 1e-9 * scale
+    e_hi = floor + scale
+    grid = _build_grid(spec, e_hi, config, units)
+    expansions = 0
     for k in range(n_max):
-        e_lo = floor + 1e-9 * scale
-        e_hi = floor + scale
-        # expand until the box solution has more than k nodes
-        expansions = 0
-        while True:
-            grid = _build_grid(spec, e_hi, config, units)
-            if nodes(e_hi, grid) > k:
-                break
+        # climb the ladder until the box solution has more than k nodes; every
+        # rung below the previous level's stopping rung has at most k - 1
+        # nodes, so the climb resumes there
+        while nodes(e_hi, grid) <= k:
             e_hi = floor + (e_hi - floor) * 2.0
             expansions += 1
             if expansions > 60:
                 raise ConvergenceFailure(f"could not bracket reference level {k}")
-        # freeze the box, then bisect on the node count transition k -> k+1
-        grid = _build_grid(spec, e_hi, config, units)
+            grid = _build_grid(spec, e_hi, config, units)
+        # the box stays frozen while bisecting on the node count transition k -> k+1
         lo, hi = e_lo, e_hi
         while hi - lo > config.energy_tol * (1.0 + abs(lo)):
             mid = 0.5 * (lo + hi)

@@ -189,6 +189,8 @@ class TestScatter:
             (["--u0", "1", "--e-min=-inf", "--e-max", "1", "--e-count", "3"], "--e-min must be finite, got -inf"),
             (["--u0", "1", "--e-min", "nan", "--e-max", "1", "--e-count", "3"], "--e-min must be finite, got nan"),
             (["--u0", "1", "--e-min", "1", "--e-max", "nan", "--e-count", "3"], "--e-max must be finite, got nan"),
+            (["--u0", "1", "--energy", "2", "--energy", "inf"], "--energy must be finite, got inf"),
+            (["--u0", "1", "--energy", "nan"], "--energy must be finite, got nan"),
         ],
     )
     def test_non_finite_range_or_u0_is_4_before_any_work(self, flags, message, capsys, monkeypatch):
@@ -284,6 +286,29 @@ class TestConfigLayering:
         assert (code, out) == (2, "")
         assert err == f"turnpoint: parse error: config file {cfg}: bad value {value!r} for {key}\n"
 
+    @pytest.mark.parametrize("energies, bad", [("inf", "inf"), ("1,nan", "nan")])
+    def test_non_finite_config_energy_names_the_flag(self, energies, bad, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"u0 = 1\nenergy = {energies}\n")
+        code, out, err = run(["scatter", "--config", str(cfg)], capsys)
+        assert (code, out) == (4, "")
+        assert err == f"turnpoint: invalid input: --energy must be finite, got {bad}\n"
+
+    @pytest.mark.parametrize("key, value", [("format", "json"), ("n", "2"), ("nmax", "1")])
+    def test_key_no_subcommand_reads_is_2(self, key, value, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"potential = sho:omega=1\n{key} = {value}\n")
+        for command in ("solve", "wavefunction", "scatter", "compare"):
+            code, out, err = run([command, "--config", str(cfg)], capsys)
+            assert (code, out) == (2, "")
+            assert err == f"turnpoint: parse error: {cfg}:2: unknown key {key!r}\n"
+
+    def test_key_another_subcommand_reads_is_ignored(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("potential = isw:L=1\nn_max = 1\nu0 = 1\nsamples = 3\n")
+        doc = run_json(["solve", "--config", str(cfg)], capsys)
+        assert len(doc["levels"]) == 3
+
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, _ = run(["solve", "--config", str(tmp_path / "nope.cfg")], capsys)
         assert code == 2
@@ -360,6 +385,74 @@ class TestExitCodes:
         assert (code, out) == (4, "")
         assert err.startswith("turnpoint: invalid input: ")
         assert err.count("\n") == 1
+
+
+_LEVEL_FLAGS = [
+    ("--potential", "sho:omega=1"),
+    ("--n-max", "1"),
+    ("--variant", "general"),
+    ("--tol-energy", "1e-10"),
+    ("--tol-quad", "1e-10"),
+]
+
+
+def exit_code(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    return info.value.code, captured.out, captured.err
+
+
+class TestFlagSets:
+    @pytest.mark.parametrize("flag, value", _LEVEL_FLAGS)
+    def test_scatter_refuses_level_flags(self, flag, value, capsys):
+        code, out, err = exit_code(["scatter", "--u0", "1", "--energy", "2", flag, value], capsys)
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: {flag} {value}" in err
+        assert "Traceback" not in err
+
+    def test_scatter_help_lists_no_level_flag(self, capsys):
+        code, out, _ = exit_code(["scatter", "--help"], capsys)
+        assert code == 0
+        assert "--u0" in out
+        for flag, _ in _LEVEL_FLAGS:
+            assert flag not in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--potential", "sho:omega=1"],
+            ["wavefunction", "--potential", "sho:omega=1"],
+            ["scatter", "--u0", "1", "--energy", "2"],
+            ["compare", "--potential", "isw:L=1", "--n-max", "1"],
+        ],
+    )
+    def test_format_flag_is_gone(self, argv, capsys):
+        code, out, err = exit_code([*argv, "--format", "json"], capsys)
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --format json" in err
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        def fail():
+            raise AssertionError("rebuilt the parser")
+
+        monkeypatch.setattr(cli, "_build_parser", fail)
+        for _ in range(2):
+            run_json(["scatter", "--u0", "1", "--energy", "2"], capsys)
+
+    def test_no_state_leaks_between_calls(self, capsys):
+        for _ in range(2):
+            doc = run_json(["scatter", "--u0", "1", "--energy", "1"], capsys)
+            assert len(doc["records"]) == 1
+        solve = ["solve", "--potential", "isw:L=1", "--n-max", "1"]
+        before = run(solve, capsys)
+        code, _, _ = run(
+            ["wavefunction", "--potential", "sho:omega=1", "--n", "2", "--n-max", "2",
+             "--variant", "general", "--samples", "3"],
+            capsys,
+        )
+        assert code == 0
+        assert run(solve, capsys) == before
 
 
 class TestJsonEmitter:

@@ -89,6 +89,20 @@ class TestBoundStates:
         with pytest.raises(InvalidInput):
             reference.shoot_bound_states(InfiniteSquareWell(L=1.0), 0, units=U)
 
+    def test_each_level_resumes_the_ladder_of_the_last(self, monkeypatch):
+        # a level restarting the ladder at its first rung takes 187 passes here
+        passes = 0
+        psi_values = reference._psi_values
+
+        def counted(*args):
+            nonlocal passes
+            passes += 1
+            return psi_values(*args)
+
+        monkeypatch.setattr(reference, "_psi_values", counted)
+        reference.shoot_bound_states(InfiniteSquareWell(L=1.0), 5, units=U)
+        assert passes == 166
+
     @pytest.mark.parametrize("spec", [InfiniteSquareWell(L=2.0), TrigWell(u0=1000.0, a=1.0)])
     def test_a_finite_domain_is_the_box(self, spec):
         # E / u0 = 1e-3 puts the trig turning points within 0.02 of a / 2
