@@ -1,15 +1,19 @@
-"""Shared numerical kernel: root bracketing and bisection, adaptive Simpson
+"""Shared numerical kernel: root bracketing and refinement, adaptive Simpson
 quadrature tolerant of integrable endpoint singularities, and the
 self-consistent scalar-equation solver behind every implicit energy formula.
 
-Bisection is used everywhere instead of Newton or secant steps: the
-integrands and residuals here have kinks (|x|) and poles (cot^2), and
-robustness beats speed at this problem scale.
+Every root is refined inside a sign-change bracket by Brent's method
+(`bisect`), never by an open Newton or secant iteration: the integrands and
+residuals here have kinks (|x|) and poles (cot^2). Brent's interpolation
+steps converge superlinearly on smooth stretches, and its bisection steps
+keep the bracket and bound the work where interpolation fails.
 
 Brackets come from one sign-change rule, `sign_changes`, applied to a scan
 given as arrays of abscissae and values with NaN at the points that could
 not be evaluated. `bracket_roots` scans a callable with it, and the solver
-applies it to E - U read from its per-solve table of U.
+applies it to E - U read from its per-solve table of U. The energy search
+of `solve_self_consistent` applies the same rule point by point along a
+geometric ladder, and stops at the first sign change.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ _EVAL_ERRORS = (TurnpointError, ArithmeticError, ValueError, OverflowError)
 _BISECT_MAX_ITER = 200
 _EXPAND_FACTOR = 10.0
 _MAX_EXPANSIONS = 12
+_GEOMETRIC_FRACTIONS = tuple(10.0 ** -j for j in range(12, -1, -1))
 
 
 @dataclass(frozen=True)
@@ -120,26 +125,59 @@ def sign_changes(xs: Sequence[float], values: np.ndarray) -> list[Bracket]:
 
 
 def bisect(f: Callable[[float], float], b: Bracket, tol: Tolerances | None = None) -> float:
-    """Root of f inside the bracket by plain bisection."""
+    """Root of f inside the bracket by Brent's method.
+
+    Each step is an inverse quadratic interpolation or a secant step when
+    that lands well inside the current bracket and shrinks the steps fast
+    enough, and a bisection otherwise (Brent 1973, ch. 4; the zeroin form
+    of Forsythe, Malcolm and Moler 1977). Every evaluation lies inside
+    [b.lo, b.hi], the sign change stays bracketed, and the returned x lies
+    in a bracket no wider than root_abs + root_rel * |x|.
+    """
     tol = tol or Tolerances()
-    lo, hi = b.lo, b.hi
-    f_lo = b.f_lo
-    if f_lo == 0.0:
-        return lo
+    if b.f_lo == 0.0:
+        return b.lo
     if b.f_hi == 0.0:
-        return hi
+        return b.hi
+    # x: best estimate; c: the other end of the bracket; a: previous x
+    a, fa = b.lo, b.f_lo
+    x, fx = b.hi, b.f_hi
+    c, fc = a, fa
     for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol.root_abs + tol.root_rel * abs(mid):
-            return mid
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    raise MaxIterationsExceeded(f"bisection did not converge on [{b.lo}, {b.hi}]")
+        last_step = x - a
+        if abs(fc) < abs(fx):
+            a, fa = x, fx
+            x, fx = c, fc
+            c, fc = a, fa
+        half_tol = 0.5 * (tol.root_abs + tol.root_rel * abs(x))
+        half_width = 0.5 * (c - x)
+        if abs(half_width) <= half_tol:
+            return x
+        step = half_width
+        if abs(last_step) >= half_tol and abs(fa) > abs(fx):
+            s = fx / fa
+            if a == c:  # secant through x and c
+                p, q = 2.0 * half_width * s, 1.0 - s
+            else:  # inverse quadratic through a, x and c
+                qa, r = fa / fc, fx / fc
+                p = s * (2.0 * half_width * qa * (qa - r) - (x - a) * (r - 1.0))
+                q = (qa - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            # take it only if it lands within 3/4 of the way to c and is
+            # under half the last step; else bisect
+            if p < 1.5 * half_width * q - 0.5 * abs(half_tol * q) and p < abs(0.5 * last_step * q):
+                step = p / q
+        a, fa = x, fx
+        x += step if abs(step) >= half_tol else math.copysign(half_tol, half_width)
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+    raise MaxIterationsExceeded(f"root search did not converge on [{b.lo}, {b.hi}]")
 
 
 def integrate(
@@ -292,6 +330,48 @@ def _skip_causes(g: Callable[[float], float], xs: Sequence[float]) -> str:
     return f"; the first scan skipped {skipped} of its {len(xs)} energies: {details}"
 
 
+def _geometric_bracket(g: Callable[[float], float], e_lo: float, e_hi: float) -> Bracket | None:
+    """The first sign change of g over e_lo and e_lo + (e_hi - e_lo) * 10^-j,
+    j = 12, 11, ..., 0, taken in ascending order, or None if there is none.
+
+    Levels sit near the low end of the window, so this stops after a few
+    points where a uniform scan pays for all of them. Points where g raises
+    or is not finite are skipped, and no bracket spans one. An exact zero
+    ends the search with a bracket that has it as an end.
+    """
+    prev: tuple[float, float] | None = None
+    for e in [e_lo] + [e_lo + (e_hi - e_lo) * frac for frac in _GEOMETRIC_FRACTIONS]:
+        try:
+            value = g(e)
+        except _EVAL_ERRORS:
+            value = math.nan
+        if not math.isfinite(value):
+            prev = None
+            continue
+        if prev is not None and (value == 0.0 or prev[1] == 0.0 or (value > 0.0) != (prev[1] > 0.0)):
+            return Bracket(prev[0], e, prev[1], value)
+        prev = (e, value)
+    return None
+
+
+def _scanned_bracket(g: Callable[[float], float], e_lo: float, e_hi: float, n_grid: int) -> Bracket:
+    """The lowest sign change of g on a uniform n_grid scan of [e_lo, hi],
+    with hi = e_hi first and then expanded geometrically upward
+    (hi <- 10 * hi) at most 12 times before ConvergenceFailure. Its message
+    names the errors that made points of the first scan unusable (found by
+    scanning it again, so a success pays nothing)."""
+    hi = e_hi
+    for _ in range(_MAX_EXPANSIONS + 1):
+        brackets = bracket_roots(g, e_lo, hi, n_grid)
+        if brackets:
+            return brackets[0]
+        hi *= _EXPAND_FACTOR
+    raise ConvergenceFailure(
+        f"no sign change of the residual on [{e_lo}, {hi}]"
+        + _skip_causes(g, _scan_points(e_lo, e_hi, n_grid))
+    )
+
+
 def solve_self_consistent(
     g: Callable[[float], float],
     e_lo: float,
@@ -301,25 +381,14 @@ def solve_self_consistent(
 ) -> float:
     """Root E* of the residual g on [e_lo, e_hi] with |g(E*)| <= energy_rel * (1 + E*).
 
-    If the initial range shows no sign change it is expanded geometrically
-    upward (hi <- 10 * hi) at most 12 times before ConvergenceFailure,
-    whose message names the errors that made points of the first scan
-    unusable (found by scanning it again, so a success pays nothing).
+    The bracket comes from a geometric search up from e_lo; only when that
+    sees no sign change does the uniform scan of `_scanned_bracket` run,
+    with its upward expansion and its failure message. `bisect` then
+    refines the root inside the bracket.
     """
     tol = tol or Tolerances()
-    lo, hi = e_lo, e_hi
-    brackets: list[Bracket] = []
-    for _ in range(_MAX_EXPANSIONS + 1):
-        brackets = bracket_roots(g, lo, hi, n_grid)
-        if brackets:
-            break
-        hi *= _EXPAND_FACTOR
-    if not brackets:
-        raise ConvergenceFailure(
-            f"no sign change of the residual on [{e_lo}, {hi}]"
-            + _skip_causes(g, _scan_points(e_lo, e_hi, n_grid))
-        )
-    # bisect well past the interval tolerance so steep residuals still land
+    bracket = _geometric_bracket(g, e_lo, e_hi) or _scanned_bracket(g, e_lo, e_hi, n_grid)
+    # refine well past the interval tolerance so steep residuals still land
     tight = Tolerances(
         root_abs=1e-14,
         root_rel=max(tol.energy_rel * 1e-4, 1e-15),
@@ -327,7 +396,7 @@ def solve_self_consistent(
         quad_max_depth=tol.quad_max_depth,
         energy_rel=tol.energy_rel,
     )
-    root = bisect(g, brackets[0], tight)
+    root = bisect(g, bracket, tight)
     residual = abs(g(root))
     if residual > tol.energy_rel * (1.0 + abs(root)):
         raise ConvergenceFailure(

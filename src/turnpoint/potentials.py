@@ -109,9 +109,9 @@ class PotentialSpec:
         of the energy brackets of the level solves and the Numerov oracle."""
         w = self.scale(units)
         denom = units.mass * w * w
-        if not (denom and math.isfinite(units.hbar ** 2 / denom)):
+        if not (denom and math.isfinite(units.hbar * units.hbar / denom)):
             raise InvalidInput(f"{self.kind}: length scale {w} gives no finite energy scale hbar^2/(m w^2)")
-        return max(units.hbar ** 2 / denom, 1e-12)
+        return max(units.hbar * units.hbar / denom, 1e-12)
 
     def ground_estimate(self, units: UnitSystem) -> float | None:
         """A known variational upper bound on the ground energy, or None."""
@@ -230,11 +230,11 @@ class VWell(PotentialSpec):
         return self.u0 * abs(x)
 
     def scale(self, units):
-        return (units.hbar ** 2 / (units.mass * self.u0)) ** (1.0 / 3.0)
+        return (units.hbar * units.hbar / (units.mass * self.u0)) ** (1.0 / 3.0)
 
     def ground_estimate(self, units):
         # 1.5 * (1/(2 pi))^(1/3) ~= 0.813 in units of (hbar^2 U0^2 / m)^(1/3)
-        return 1.5 * (0.5 / math.pi) ** (1.0 / 3.0) * (units.hbar ** 2 * self.u0 ** 2 / units.mass) ** (1.0 / 3.0)
+        return 1.5 * (0.5 / math.pi) ** (1.0 / 3.0) * (units.hbar * units.hbar * self.u0 ** 2 / units.mass) ** (1.0 / 3.0)
 
     def turning_points(self, E, units):
         x2 = E / self.u0

@@ -99,7 +99,7 @@ def _psi_values(u: np.ndarray, E: float, h: float, units: UnitSystem) -> tuple[l
     underflows through the prefix divisions, so they are what nodes are
     counted on.
     """
-    g = (2.0 * units.mass / units.hbar ** 2) * (E - u)
+    g = (2.0 * units.mass / (units.hbar * units.hbar)) * (E - u)
     c = 1.0 + h * h * g / 12.0
     a = (12.0 - 10.0 * c).tolist()
     # numpy scalars keep numpy's inf/nan for a zero divisor, not ZeroDivisionError

@@ -6,14 +6,15 @@ The quantization branches are K*d = (2n-1)*pi (symmetric, cosine factor),
 K*d = 2*n*pi (antisymmetric, sine factor) and K*d = n*pi (general, cosine for
 odd n, sine for even n), with K = m1*sqrt(E) and d the turning-point width
 evaluated at the same energy. Widths depend on the unknown energy, so every
-level is a root of a scalar residual, solved by bracketing and bisection
-rather than fixed-point iteration (the right-hand sides need not contract).
+level is a root of a scalar residual, bracketed by a geometric energy search
+and refined by Brent's method (`numerics.solve_self_consistent`) rather
+than by fixed-point iteration (the right-hand sides need not contract).
 
 Wells without closed-form turning points (expressions, the step) find them
 from sign changes of E - U(x) on a grid. U does not depend on E, so each
 level solve tabulates U once, on the 4097-point grid that the finest scan
 uses, and every trial energy reads its scans from that table; only the
-bisections for the turning points evaluate U anew.
+root refinements of the turning points (`numerics.bisect`) evaluate U anew.
 """
 
 from __future__ import annotations
@@ -151,8 +152,8 @@ def turning_points(
     tol: Tolerances | None = None,
     _table: _UTable | None = None,
 ) -> TurningPoints:
-    """Turning points at energy E; closed form when available, else a
-    bracketed bisection on f(x) = E - U(x).
+    """Turning points at energy E; closed form when available, else
+    bracketed roots of f(x) = E - U(x), refined by `numerics.bisect`.
 
     The brackets come from sign changes of E - U on grids of 257, 513, ...
     up to 4097 points, the next one scanned only when the last showed none.
@@ -227,7 +228,7 @@ def delta_equivalent_energy(S: float, units: UnitSystem | None = None) -> float:
     units = units or UnitSystem()
     if S < 0.0:
         raise InvalidEnergy(f"S must be non-negative, got {S}")
-    return -units.mass * S * S / (2.0 * units.hbar ** 2)
+    return -units.mass * S * S / (2.0 * (units.hbar * units.hbar))
 
 
 def ground_state_energy(
@@ -240,7 +241,7 @@ def ground_state_energy(
     tol = tol or Tolerances()
     tp_tol = _tight(tol)
     table = _UTable(spec, units)
-    coeff = 2.0 * units.hbar ** 2 / units.mass
+    coeff = 2.0 * (units.hbar * units.hbar) / units.mass
 
     def residual(E: float) -> float:
         d = turning_points(spec, E, units, tp_tol, table).d  # InvalidEnergy below the minimum

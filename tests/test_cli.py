@@ -354,6 +354,14 @@ class TestExitCodes:
         assert err.startswith("turnpoint: invalid input: ") and "gives no finite energy scale" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("spec, hbar", [("sho:omega=1", "1e200"), ("sho:omega=1", "1e160"), ("isw:L=1", "1e200")])
+    def test_huge_hbar_is_4(self, spec, hbar, capsys):
+        # hbar^2 overflows: the energy scale is refused, not raised from a float power
+        code, out, err = run(["solve", "--potential", spec, "--hbar", hbar, "--n-max", "1"], capsys)
+        assert (code, out) == (4, "")
+        assert err.startswith("turnpoint: invalid input: ") and "gives no finite energy scale" in err
+        assert err.count("\n") == 1
+
     def test_unbound_potential_is_3(self, capsys):
         # monotone ramp: no second turning point, the solve cannot converge
         code, _, _ = run(["solve", "--potential", "expr:x;domain=-5..5"], capsys)

@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from turnpoint import numerics
-from turnpoint.errors import AmbiguousWells, ConvergenceFailure, NoBoundRegion, QuadratureDivergence
+from turnpoint.errors import (
+    AmbiguousWells,
+    ConvergenceFailure,
+    MaxIterationsExceeded,
+    NoBoundRegion,
+    QuadratureDivergence,
+)
 from turnpoint.numerics import Bracket, Tolerances
 
 
@@ -85,6 +91,78 @@ class TestBisect:
     def test_mismatched_signs_rejected(self):
         with pytest.raises(ValueError):
             Bracket(0.0, 1.0, 1.0, 2.0)
+
+
+# test functions with one sign change at exactly s: each is h(x - s) for
+# an h that keeps the sign of its argument in floats (a pole for cot)
+_SIGN_CHANGES = {
+    "cubic": lambda s, k: lambda x: k * (x - s) ** 3 + (x - s),
+    "exp": lambda s, k: lambda x: math.expm1(k * (x - s)),
+    "atan": lambda s, k: lambda x: math.atan(k * (x - s)),
+    "kink": lambda s, k: lambda x: abs(x - s + k) - k,  # roots at s and s - 2k
+    "step": lambda s, k: lambda x: k if x > s else -1.0 / k,
+    "cot pole": lambda s, k: lambda x: 1.0 / math.tan(x - s) if x != s else math.inf,
+}
+
+
+class TestBisectProperties:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(_SIGN_CHANGES)),
+        s=st.floats(-50.0, 50.0),
+        k=st.floats(0.01, 10.0),
+        left=st.floats(1e-6, 1.5),
+        right=st.floats(1e-6, 1.5),
+        tol=st.sampled_from([
+            Tolerances(),
+            Tolerances(root_abs=1e-14, root_rel=1e-14),
+            Tolerances(root_abs=1e-3, root_rel=1e-300),
+        ]),
+    )
+    def test_root_is_a_sign_change_and_no_evaluation_leaves_the_bracket(self, kind, s, k, left, right, tol):
+        f = _SIGN_CHANGES[kind](s, k)
+        if kind == "kink":
+            left = min(left, k)  # keep the root at s - 2k outside
+        lo, hi = s - left, s + right
+        f_lo, f_hi = f(lo), f(hi)
+        if f_lo == 0.0 or f_hi == 0.0 or (f_lo > 0.0) == (f_hi > 0.0):
+            return  # lo or hi rounded onto s
+        seen = []
+
+        def recorded(x):
+            seen.append(x)
+            return f(x)
+
+        root = numerics.bisect(recorded, Bracket(lo, hi, f_lo, f_hi), tol)
+        assert all(lo <= x <= hi for x in seen)
+        assert abs(root - s) <= tol.root_abs + tol.root_rel * abs(root)
+
+    @given(st.floats(-1e6, 1e6), st.floats(1e-6, 1e6), st.floats(1e-300, 1e300))
+    def test_exact_zero_at_either_end_is_returned(self, lo, width, value):
+        def fail(x):
+            raise AssertionError("evaluated f although an end is a root")
+
+        hi = lo + width
+        assert numerics.bisect(fail, Bracket(lo, hi, 0.0, value)) == lo
+        assert numerics.bisect(fail, Bracket(lo, hi, -value, 0.0)) == hi
+
+    @pytest.mark.parametrize("s", [0.1, 0.5, 1.0 / 3.0, 0.9])
+    def test_tolerance_below_one_ulp_never_converges(self, s):
+        tiny = Tolerances(root_abs=1e-300, root_rel=1e-300)
+        with pytest.raises(MaxIterationsExceeded):
+            numerics.bisect(_SIGN_CHANGES["step"](s, 1.0), Bracket(0.0, 1.0, -1.0, 1.0), tiny)
+
+    def test_infinite_values_inside_the_bracket_are_passed_over(self):
+        # the ground residual is -inf where the width vanishes
+        values = []
+
+        def f(x):
+            values.append(-math.inf if 0.0 < x < 0.9 else x - 0.95)
+            return values[-1]
+
+        root = numerics.bisect(f, Bracket(0.0, 1.0, -1e-3, 0.05))
+        assert -math.inf in values
+        assert root == pytest.approx(0.95, abs=1e-10)
 
 
 class TestIntegrate:
@@ -165,6 +243,26 @@ class TestSolveSelfConsistent:
             return E - 3.0
 
         assert numerics.solve_self_consistent(g, 0.1, 10.0, Tolerances()) == pytest.approx(3.0)
+
+    def test_lowest_of_two_roots(self):
+        # a sign change at 2, a double root at 7: the first geometric
+        # bracket holds both, and the sign change is the one kept
+        root = numerics.solve_self_consistent(lambda E: (E - 2.0) * (E - 7.0) ** 2, 0.1, 1000.0, Tolerances())
+        assert root == pytest.approx(2.0, rel=1e-10)
+
+    @pytest.mark.parametrize("bad", ["nan", "raise"])
+    def test_linear_scan_when_every_geometric_point_fails(self, bad):
+        lo, hi = 0.1, 1000.0
+        geometric = {lo} | {lo + (hi - lo) * 10.0 ** -j for j in range(13)}
+
+        def g(E):
+            if E in geometric:
+                if bad == "raise":
+                    raise NoBoundRegion("found 0 turning point(s)")
+                return math.nan
+            return E - 30.0
+
+        assert numerics.solve_self_consistent(g, lo, hi, Tolerances()) == pytest.approx(30.0, rel=1e-10)
 
     def test_nonlinear_width_style_equation(self):
         # E = 8 / E  =>  E = sqrt(8)

@@ -313,3 +313,46 @@ class TestUTable:
         gs = solver.ground_state_energy(spec, U)
         assert gs.energy == pytest.approx(0.5, abs=1e-8)
         assert calls[0] <= 12_000
+
+    def test_roadmap_ground_case_stays_under_3000_u_evaluations(self, monkeypatch):
+        calls = [0]
+        evaluate = potentials.evaluate
+
+        def counted(*args):
+            calls[0] += 1
+            return evaluate(*args)
+
+        monkeypatch.setattr(potentials, "evaluate", counted)
+        spec = parse_potential_spec("expr:0.5*x^2;domain=-12..12")
+        gs = solver.ground_state_energy(spec, U)
+        assert gs.energy == pytest.approx(0.5, abs=1e-8)
+        assert calls[0] <= 3_000
+
+
+@pytest.mark.parametrize("spec", [
+    HarmonicOscillator(omega=1.0),
+    InfiniteSquareWell(L=1.0),
+    VWell(u0=1.0),
+    TrigWell(u0=1.0, a=1.0),
+    ParabolicWell(u0=1.0, a=1.0),
+    QuadraticInverse(a=1.0, b=1.0),
+], ids=lambda spec: spec.kind)
+def test_each_level_stays_under_30_residual_calls(spec, monkeypatch):
+    calls = []
+    solve = numerics.solve_self_consistent
+
+    def counted(g, *args, **kwargs):
+        calls.append(0)
+
+        def residual(E):
+            calls[-1] += 1
+            return g(E)
+
+        return solve(residual, *args, **kwargs)
+
+    monkeypatch.setattr(numerics, "solve_self_consistent", counted)
+    solver.ground_state_energy(spec, U)
+    for n in (1, 2, 3):
+        solver.excited_energy(spec, solver.LevelSpec(n, "general"), U)
+    assert len(calls) == 4
+    assert max(calls) <= 30
