@@ -10,10 +10,9 @@ keep the bracket and bound the work where interpolation fails.
 
 Brackets come from one sign-change rule, `sign_changes`, applied to a scan
 given as arrays of abscissae and values with NaN at the points that could
-not be evaluated. `bracket_roots` scans a callable with it, and the solver
-applies it to E - U read from its per-solve table of U. The energy search
-of `solve_self_consistent` applies the same rule point by point along a
-geometric ladder, and stops at the first sign change.
+not be evaluated. `bracket_roots` scans a callable with it, on a uniform or
+a geometric grid, and the solver applies it to E - U read from its
+per-solve table of U.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ _EVAL_ERRORS = (TurnpointError, ArithmeticError, ValueError, OverflowError)
 _BISECT_MAX_ITER = 200
 _EXPAND_FACTOR = 10.0
 _MAX_EXPANSIONS = 12
-_GEOMETRIC_FRACTIONS = tuple(10.0 ** -j for j in range(12, -1, -1))
+_LADDER_STEPS = 13
 
 
 @dataclass(frozen=True)
@@ -74,9 +73,16 @@ class Tolerances:
 
 
 def bracket_roots(
-    f: Callable[[float], float], lo: float, hi: float, n_grid: int = 256
+    f: Callable[[float], float], lo: float, hi: float, n_grid: int = 256, geometric: bool = False
 ) -> list[Bracket]:
-    """Sign-change intervals of f on a uniform n_grid scan of [lo, hi].
+    """Sign-change intervals of f, lowest first, on a scan of [lo, hi] in
+    n_grid steps: uniform, or with geometric=True at lo and at
+    lo + (hi - lo) * 10^-j for j = n_grid - 1, ..., 1, 0.
+
+    The geometric scan takes f at hi only when the points below show no
+    sign change: it is meant for residuals with a root near lo, which cost
+    the most at the top of their window (an energy above a whole expression
+    well runs every turning-point grid before it is refused).
 
     Points where f raises are skipped and split the scan. An empty list
     means no sign change was seen; that is not an error here.
@@ -85,11 +91,16 @@ def bracket_roots(
         raise ValueError(f"bracket_roots requires lo < hi, got [{lo}, {hi}]")
     if n_grid < 2:
         raise ValueError("n_grid must be >= 2")
-    xs = _scan_points(lo, hi, n_grid)
-    return sign_changes(xs, tabulate(f, xs))
+    xs = _scan_points(lo, hi, n_grid, geometric)
+    if not geometric:
+        return sign_changes(xs, tabulate(f, xs))
+    below = tabulate(f, xs[:-1])
+    return sign_changes(xs[:-1], below) or sign_changes(xs[-2:], np.append(below[-1:], tabulate(f, xs[-1:])))
 
 
-def _scan_points(lo: float, hi: float, n_grid: int) -> list[float]:
+def _scan_points(lo: float, hi: float, n_grid: int, geometric: bool = False) -> list[float]:
+    if geometric:
+        return [lo] + [lo + (hi - lo) * 10.0 ** -j for j in range(n_grid - 1, -1, -1)]
     return [lo + (hi - lo) * i / n_grid for i in range(n_grid + 1)]
 
 
@@ -330,30 +341,6 @@ def _skip_causes(g: Callable[[float], float], xs: Sequence[float]) -> str:
     return f"; the first scan skipped {skipped} of its {len(xs)} energies: {details}"
 
 
-def _geometric_bracket(g: Callable[[float], float], e_lo: float, e_hi: float) -> Bracket | None:
-    """The first sign change of g over e_lo and e_lo + (e_hi - e_lo) * 10^-j,
-    j = 12, 11, ..., 0, taken in ascending order, or None if there is none.
-
-    Levels sit near the low end of the window, so this stops after a few
-    points where a uniform scan pays for all of them. Points where g raises
-    or is not finite are skipped, and no bracket spans one. An exact zero
-    ends the search with a bracket that has it as an end.
-    """
-    prev: tuple[float, float] | None = None
-    for e in [e_lo] + [e_lo + (e_hi - e_lo) * frac for frac in _GEOMETRIC_FRACTIONS]:
-        try:
-            value = g(e)
-        except _EVAL_ERRORS:
-            value = math.nan
-        if not math.isfinite(value):
-            prev = None
-            continue
-        if prev is not None and (value == 0.0 or prev[1] == 0.0 or (value > 0.0) != (prev[1] > 0.0)):
-            return Bracket(prev[0], e, prev[1], value)
-        prev = (e, value)
-    return None
-
-
 def _scanned_bracket(g: Callable[[float], float], e_lo: float, e_hi: float, n_grid: int) -> Bracket:
     """The lowest sign change of g on a uniform n_grid scan of [e_lo, hi],
     with hi = e_hi first and then expanded geometrically upward
@@ -381,13 +368,18 @@ def solve_self_consistent(
 ) -> float:
     """Root E* of the residual g on [e_lo, e_hi] with |g(E*)| <= energy_rel * (1 + E*).
 
-    The bracket comes from a geometric search up from e_lo; only when that
-    sees no sign change does the uniform scan of `_scanned_bracket` run,
-    with its upward expansion and its failure message. `bisect` then
-    refines the root inside the bracket.
+    Levels sit near the low end of the window, so the bracket comes from a
+    14-point geometric scan up from e_lo (`bracket_roots` with
+    geometric=True), its lowest sign change; only when it sees none does
+    the uniform scan of `_scanned_bracket` run, with its upward expansion
+    and its failure message. `bisect` then refines the root inside the
+    bracket. The root is the lowest sign change only at the resolution of
+    the scan that found it: a bracket of the geometric scan may span up to
+    nine tenths of the window.
     """
     tol = tol or Tolerances()
-    bracket = _geometric_bracket(g, e_lo, e_hi) or _scanned_bracket(g, e_lo, e_hi, n_grid)
+    brackets = bracket_roots(g, e_lo, e_hi, _LADDER_STEPS, geometric=True)
+    bracket = brackets[0] if brackets else _scanned_bracket(g, e_lo, e_hi, n_grid)
     # refine well past the interval tolerance so steep residuals still land
     tight = Tolerances(
         root_abs=1e-14,

@@ -107,6 +107,8 @@ class PotentialSpec:
     def energy_scale(self, units: UnitSystem) -> float:
         """hbar^2 / (m w^2) for the length scale w, floored at 1e-12: the unit
         of the energy brackets of the level solves and the Numerov oracle."""
+        if not math.isfinite(units.hbar * units.hbar):
+            raise InvalidInput(f"hbar={units.hbar}: hbar^2 overflows")
         w = self.scale(units)
         denom = units.mass * w * w
         if not (denom and math.isfinite(units.hbar * units.hbar / denom)):

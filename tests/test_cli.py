@@ -356,10 +356,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("spec, hbar", [("sho:omega=1", "1e200"), ("sho:omega=1", "1e160"), ("isw:L=1", "1e200")])
     def test_huge_hbar_is_4(self, spec, hbar, capsys):
-        # hbar^2 overflows: the energy scale is refused, not raised from a float power
+        # hbar^2 overflows: refused by name, not raised from a float power
         code, out, err = run(["solve", "--potential", spec, "--hbar", hbar, "--n-max", "1"], capsys)
         assert (code, out) == (4, "")
-        assert err.startswith("turnpoint: invalid input: ") and "gives no finite energy scale" in err
+        assert err == f"turnpoint: invalid input: hbar={float(hbar)}: hbar^2 overflows\n"
         assert err.count("\n") == 1
 
     def test_unbound_potential_is_3(self, capsys):

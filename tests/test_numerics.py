@@ -41,6 +41,20 @@ class TestBracketRoots:
         brackets = numerics.bracket_roots(f, -1.0, 1.0, 64)
         assert len(brackets) == 1
 
+    def test_geometric_scan_leaves_hi_for_last(self):
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return x - 0.5
+
+        brackets = numerics.bracket_roots(f, 0.0, 100.0, 6, geometric=True)
+        assert seen == [0.0, 1e-3, 1e-2, 0.1, 1.0, 10.0]
+        assert [(b.lo, b.hi) for b in brackets] == [(0.1, 1.0)]
+        seen.clear()
+        brackets = numerics.bracket_roots(f, 0.0, 1.0, 6, geometric=True)
+        assert seen == [0.0, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0]
+        assert [(b.lo, b.hi) for b in brackets] == [(0.1, 1.0)]
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -3.0, math.nan, math.inf,
@@ -244,10 +258,14 @@ class TestSolveSelfConsistent:
 
         assert numerics.solve_self_consistent(g, 0.1, 10.0, Tolerances()) == pytest.approx(3.0)
 
-    def test_lowest_of_two_roots(self):
-        # a sign change at 2, a double root at 7: the first geometric
-        # bracket holds both, and the sign change is the one kept
-        root = numerics.solve_self_consistent(lambda E: (E - 2.0) * (E - 7.0) ** 2, 0.1, 1000.0, Tolerances())
+    @pytest.mark.parametrize("g", [
+        # one sign change at 2 and a double root at 7, in the same bracket
+        lambda E: (E - 2.0) * (E - 7.0) ** 2,
+        # sign changes at 2 and 50, in neighbouring brackets of the ladder
+        lambda E: (E - 2.0) * (E - 50.0),
+    ], ids=["double-root-above", "two-sign-changes"])
+    def test_root_at_2_below_a_root_at_7_or_50(self, g):
+        root = numerics.solve_self_consistent(g, 0.1, 1000.0, Tolerances())
         assert root == pytest.approx(2.0, rel=1e-10)
 
     @pytest.mark.parametrize("bad", ["nan", "raise"])
