@@ -451,7 +451,17 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _PARSER.parse_args(argv)
+    # argparse takes a word that starts with '-' and is no plain negative number for
+    # a flag: pass `--energy -inf` as `--energy=-inf`, but not after --help or `--`
+    words: list[str] = []
+    for word in sys.argv[1:] if argv is None else argv:
+        flag = words[-1] if words else ""
+        if word.lower() in ("-inf", "-infinity", "-nan") and flag.startswith("--") \
+                and "=" not in flag and not "--help".startswith(flag):
+            words[-1] = f"{flag}={word}"
+        else:
+            words.append(word)
+    args = _PARSER.parse_args(words)
     try:
         return _dispatch(args)
     except _PARSE_ERRORS as exc:

@@ -7,6 +7,8 @@ below E, so the k-th level (0-based) sits exactly at the k -> k+1 transition.
 The box is fixed per level before the final bisection so the mismatch
 function stays continuous in E. Boxes repeat from level to level, so a
 call tabulates U once per distinct box and runs every pass on that table.
+A pass stores no psi: it carries the last two values of the recurrence
+and counts sign changes as it goes.
 """
 
 from __future__ import annotations
@@ -76,54 +78,42 @@ def numerov_integrate(
     return _recurrence(u, E, grid[1] - grid[0], units)
 
 
-def _recurrence(u: np.ndarray, E: float, h: float, units: UnitSystem) -> np.ndarray:
-    """psi of `numerov_integrate` on the tabulated potential u: the values of
-    `_psi_values` with its prefix divisions applied in order, which rounds
-    as dividing at each rescale would."""
-    values, rescaled = _psi_values(u, E, h, units)
-    psi = np.fromiter(values, dtype=float, count=len(values))
-    for n in rescaled:
-        psi[:n] /= 1e100
-    return psi
-
-
-def _psi_values(u: np.ndarray, E: float, h: float, units: UnitSystem) -> tuple[list[float], list[int]]:
-    """psi as the recurrence computed it, and the prefix lengths it rescaled.
-
-    The coefficients are numpy expressions of the recurrence
-    psi[i+1] = ((12 - 10 c[i]) psi[i] - c[i-1] psi[i-1]) / c[i+1]; the loop
-    runs on Python floats, which round exactly as numpy float64 scalars do.
-    When |psi[i+1]| exceeds 1e100 the loop carries on with its two values
-    divided by 1e100 and records the length of the prefix that needs the
-    same division. The stored values have the signs of psi and none of them
-    underflows through the prefix divisions, so they are what nodes are
-    counted on.
-    """
+def _coefficients(u: np.ndarray, E: float, h: float, units: UnitSystem) -> tuple[list, list[float]]:
+    """c and a = 12 - 10 c of psi[i+1] = (a[i] psi[i] - c[i-1] psi[i-1]) / c[i+1]."""
     g = (2.0 * units.mass / (units.hbar * units.hbar)) * (E - u)
     c = 1.0 + h * h * g / 12.0
     a = (12.0 - 10.0 * c).tolist()
     # numpy scalars keep numpy's inf/nan for a zero divisor, not ZeroDivisionError
-    c = c.tolist() if c.all() else list(c)
-    psi = [0.0, 1e-6]
-    append = psi.append
-    rescaled = []  # lengths of the prefixes divided, in order
+    return (c.tolist() if c.all() else list(c)), a
+
+
+def _recurrence(u: np.ndarray, E: float, h: float, units: UnitSystem) -> np.ndarray:
+    """psi of `numerov_integrate` on the tabulated potential u."""
+    c, a = _coefficients(u, E, h, units)
+    psi = np.zeros(len(u))
+    psi[1] = 1e-6
+    for i in range(1, len(u) - 1):
+        psi[i + 1] = (a[i] * psi[i] - c[i - 1] * psi[i - 1]) / c[i + 1]
+        if abs(psi[i + 1]) > 1e100:
+            psi[: i + 2] /= 1e100
+    return psi
+
+
+def _nodes(u: np.ndarray, E: float, h: float, units: UnitSystem) -> int:
+    """Sign changes of psi after its first point, the right edge included (its
+    flip marks the eigenvalue crossing). Zeros and NaN carry no sign; a value
+    is counted before a rescale divides it."""
+    c, a = _coefficients(u, E, h, units)
     prev, cur = 0.0, 1e-6
+    sign, nodes = 1.0, 0
     for c_prev, a_cur, c_next in zip(c, a[1:], c[2:]):
         prev, cur = cur, (a_cur * cur - c_prev * prev) / c_next
-        append(cur)
+        if cur * sign < 0.0:
+            sign = -sign
+            nodes += 1
         if cur > 1e100 or cur < -1e100:
             prev, cur = prev / 1e100, cur / 1e100
-            rescaled.append(len(psi))
-    return psi, rescaled
-
-
-def _count_nodes(psi: np.ndarray) -> int:
-    # include the right edge: its sign flip marks the eigenvalue crossing
-    interior = psi[1:]
-    signs = np.sign(interior[np.abs(interior) > 0.0])
-    if len(signs) < 2:
-        return 0
-    return int(np.sum(signs[:-1] != signs[1:]))
+    return nodes
 
 
 def _build_grid(
@@ -168,8 +158,7 @@ def shoot_bound_states(
         key = grid[[0, -1]].tobytes()
         if key not in tables:
             tables[key] = _potential_on_grid(spec, grid, units)
-        values, _ = _psi_values(tables[key], E, grid[1] - grid[0], units)
-        return _count_nodes(np.fromiter(values, dtype=float, count=len(values)))
+        return _nodes(tables[key], E, grid[1] - grid[0], units)
 
     levels: list[ReferenceLevel] = []
     e_lo = floor + 1e-9 * scale

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -191,6 +195,11 @@ class TestScatter:
             (["--u0", "1", "--e-min", "1", "--e-max", "nan", "--e-count", "3"], "--e-max must be finite, got nan"),
             (["--u0", "1", "--energy", "2", "--energy", "inf"], "--energy must be finite, got inf"),
             (["--u0", "1", "--energy", "nan"], "--energy must be finite, got nan"),
+            # argparse alone reads a word that starts with '-' after a flag as a flag
+            (["--u0", "1", "--energy", "-inf"], "--energy must be finite, got -inf"),
+            (["--u0", "-Infinity", "--energy", "2"], "--u0 must be finite, got -inf"),
+            (["--u0", "1", "--e-min", "-NaN", "--e-max", "1", "--e-count", "3"], "--e-min must be finite, got nan"),
+            (["--u0", "1", "--e-min", "1", "--e-max", "-inf", "--e-count", "3"], "--e-max must be finite, got -inf"),
         ],
     )
     def test_non_finite_range_or_u0_is_4_before_any_work(self, flags, message, capsys, monkeypatch):
@@ -387,7 +396,7 @@ class TestExitCodes:
         assert err.startswith("turnpoint: parse error: domain bounds must be finite")
 
     @pytest.mark.parametrize("flag", ["--tol-energy", "--tol-quad"])
-    @pytest.mark.parametrize("value", ["nan", "0", "-1", "inf"])
+    @pytest.mark.parametrize("value", ["nan", "0", "-1", "inf", "-inf", "-nan"])
     def test_inadmissible_tolerance_is_4(self, flag, value, capsys):
         code, out, err = run(["solve", "--potential", "sho:omega=1", flag, value], capsys)
         assert (code, out) == (4, "")
@@ -485,3 +494,18 @@ class TestJsonEmitter:
     def test_seventeen_digit_floats(self):
         assert cli.format_float(math.pi) == "3.1415926535897931"
         assert float(cli.format_float(0.1)) == 0.1
+
+
+def test_import_loads_no_numpy_submodule_beyond_numpy():
+    # each numpy submodule adds start-up time to every command, e.g. about
+    # 20 ms for numpy.polynomial
+    code = (
+        "import sys, numpy\n"
+        "before = set(sys.modules)\n"
+        "import turnpoint.cli\n"
+        "print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] == 'numpy'))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

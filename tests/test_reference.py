@@ -92,14 +92,14 @@ class TestBoundStates:
     def test_each_level_resumes_the_ladder_of_the_last(self, monkeypatch):
         # a level restarting the ladder at its first rung takes 187 passes here
         passes = 0
-        psi_values = reference._psi_values
+        nodes = reference._nodes
 
         def counted(*args):
             nonlocal passes
             passes += 1
-            return psi_values(*args)
+            return nodes(*args)
 
-        monkeypatch.setattr(reference, "_psi_values", counted)
+        monkeypatch.setattr(reference, "_nodes", counted)
         reference.shoot_bound_states(InfiniteSquareWell(L=1.0), 5, units=U)
         assert passes == 166
 
@@ -203,6 +203,38 @@ def _numpy_numerov(u, E, h, units):
     return psi
 
 
+def _psi_values(u, E, h, units):
+    """psi as the stored-psi pass computed it, and the prefix lengths it
+    rescaled; node counts were taken on these values before `_nodes`."""
+    g = (2.0 * units.mass / (units.hbar * units.hbar)) * (E - u)
+    c = 1.0 + h * h * g / 12.0
+    a = (12.0 - 10.0 * c).tolist()
+    c = c.tolist() if c.all() else list(c)
+    psi = [0.0, 1e-6]
+    rescaled = []
+    prev, cur = 0.0, 1e-6
+    for c_prev, a_cur, c_next in zip(c, a[1:], c[2:]):
+        prev, cur = cur, (a_cur * cur - c_prev * prev) / c_next
+        psi.append(cur)
+        if cur > 1e100 or cur < -1e100:
+            prev, cur = prev / 1e100, cur / 1e100
+            rescaled.append(len(psi))
+    return psi, rescaled
+
+
+def _count_nodes(psi: np.ndarray) -> int:
+    interior = psi[1:]
+    signs = np.sign(interior[np.abs(interior) > 0.0])
+    if len(signs) < 2:
+        return 0
+    return int(np.sum(signs[:-1] != signs[1:]))
+
+
+def _stored_count(u, E, h, units) -> int:
+    values, _ = _psi_values(u, E, h, units)
+    return _count_nodes(np.fromiter(values, dtype=float, count=len(values)))
+
+
 def _bits(a: np.ndarray) -> list[int]:
     return np.asarray(a, dtype=np.float64).view(np.int64).tolist()
 
@@ -246,8 +278,8 @@ class TestFloatRecurrence:
         with np.errstate(all="ignore"):
             expected = _numpy_numerov(u, E, h, units)
             psi = reference._recurrence(u, E, h, units)
+            assert reference._nodes(u, E, h, units) == _stored_count(u, E, h, units)
         assert _bits(psi) == _bits(expected)
-        assert reference._count_nodes(psi) == reference._count_nodes(expected)
 
     @settings(max_examples=60, deadline=None)
     @given(_WELLS, st.floats(1e-3, 200.0), st.integers(50, 600), _UNITS)
@@ -256,12 +288,25 @@ class TestFloatRecurrence:
         config = reference.NumerovConfig(n_points=2 * half + 1)
         grid = reference._build_grid(spec, E, config, units)
         u = reference._potential_on_grid(spec, grid, units)
+        h = grid[1] - grid[0]
         with np.errstate(all="ignore"):
-            expected = _numpy_numerov(u, E, grid[1] - grid[0], units)
+            expected = _numpy_numerov(u, E, h, units)
             psi = reference.numerov_integrate(spec, E, grid, units)
+            assert reference._nodes(u, E, h, units) == _stored_count(u, E, h, units)
         assert type(psi) is np.ndarray and psi.dtype == np.float64
         assert _bits(psi) == _bits(expected)
-        assert reference._count_nodes(psi) == reference._count_nodes(expected)
+
+    @pytest.mark.parametrize(
+        "u, count",
+        [
+            ([0.0, -1.2, 0.0, 12.0, 0.0, 0.0], 0),  # psi: 0, 1e-6, 0, 1.2e-6, ...
+            ([0.0, -6.0, 0.0, math.nan, 0.0, 0.0], 1),  # psi: 0, 1e-6, -8e-6, nan, ...
+        ],
+    )
+    def test_zeros_and_nan_carry_no_sign(self, u, count):
+        u = np.array(u)
+        with np.errstate(all="ignore"):
+            assert reference._nodes(u, 0.0, 1.0, U) == count == _stored_count(u, 0.0, 1.0, U)
 
 
 class TestStandardStep:
