@@ -450,14 +450,22 @@ def _dispatch(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _is_number(word: str) -> bool:
+    try:
+        float(word)
+    except ValueError:
+        return False
+    return True
+
+
 def main(argv: list[str] | None = None) -> int:
     # argparse takes a word that starts with '-' and is no plain negative number for
-    # a flag: pass `--energy -inf` as `--energy=-inf`, but not after --help or `--`
+    # a flag: pass `--x -1e-3` as `--x=-1e-3`, but not after --help or `--`
     words: list[str] = []
     for word in sys.argv[1:] if argv is None else argv:
         flag = words[-1] if words else ""
-        if word.lower() in ("-inf", "-infinity", "-nan") and flag.startswith("--") \
-                and "=" not in flag and not "--help".startswith(flag):
+        if word.startswith("-") and flag.startswith("--") and "=" not in flag \
+                and not "--help".startswith(flag) and _is_number(word):
             words[-1] = f"{flag}={word}"
         else:
             words.append(word)

@@ -1,14 +1,13 @@
 """Independent standard-QM oracle: Numerov shooting for bound states of the
 same wells, plus the textbook step-potential reflection coefficient.
 
-Eigenvalues are located by node-count bisection: the number of interior sign
-changes of the left-integrated solution equals the number of eigenvalues
-below E, so the k-th level (0-based) sits exactly at the k -> k+1 transition.
-The box is fixed per level before the final bisection so the mismatch
-function stays continuous in E. Boxes repeat from level to level, so a
-call tabulates U once per distinct box and runs every pass on that table.
-A pass stores no psi: it carries the last two values of the recurrence
-and counts sign changes as it goes.
+The sign changes of psi shot from the left wall count the box eigenvalues
+below E. Node counts isolate level k (0-based) in a bracket whose ends count
+k and k + 1; Brent's method then finds the zero of the mismatch of the shots
+from both walls, matched near the right turning point, which is smooth in E.
+A level takes about 11 passes of the recurrence (2 node counts and 9 mismatch
+evaluations of two halves each), where bisecting the count took about 33.
+Boxes repeat from level to level, so U is tabulated once per distinct box.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import potentials
+from . import numerics, potentials
 from .errors import ConvergenceFailure, DomainError, InvalidInput
 from .potentials import PotentialSpec, UnitSystem
 
@@ -28,6 +27,9 @@ class NumerovConfig:
     n_points: int = 4001
     box_padding: float = 5.0  # multiples of the classical width beyond each turning point
     energy_tol: float = 1e-9
+    """Width of a level's last bracket, relative to 1 + |E|. c = 1 + h^2 g / 12 rounds:
+    on isw:L=1 at 4001 points the recurrence is constant in E over about 2e-8, so a
+    tighter tolerance buys passes, not accuracy."""
 
     def __post_init__(self):
         if self.n_points < 101 or self.n_points % 2 == 0:
@@ -99,11 +101,10 @@ def _recurrence(u: np.ndarray, E: float, h: float, units: UnitSystem) -> np.ndar
     return psi
 
 
-def _nodes(u: np.ndarray, E: float, h: float, units: UnitSystem) -> int:
-    """Sign changes of psi after its first point, the right edge included (its
-    flip marks the eigenvalue crossing). Zeros and NaN carry no sign; a value
-    is counted before a rescale divides it."""
-    c, a = _coefficients(u, E, h, units)
+def _sweep(c: list, a: list[float]) -> tuple[int, float, float]:
+    """psi[i+1] = (a[i] psi[i] - c[i-1] psi[i-1]) / c[i+1] from psi = 0, 1e-6 to the end: its sign
+    changes (zeros and NaN carry no sign; a value is counted before a rescale
+    divides it) and its last two values, up to a common positive factor."""
     prev, cur = 0.0, 1e-6
     sign, nodes = 1.0, 0
     for c_prev, a_cur, c_next in zip(c, a[1:], c[2:]):
@@ -113,7 +114,23 @@ def _nodes(u: np.ndarray, E: float, h: float, units: UnitSystem) -> int:
             nodes += 1
         if cur > 1e100 or cur < -1e100:
             prev, cur = prev / 1e100, cur / 1e100
-    return nodes
+    return nodes, prev, cur
+
+
+def _nodes(u: np.ndarray, E: float, h: float, units: UnitSystem) -> int:
+    """Sign changes of psi, the right wall included (its flip marks the eigenvalue crossing)."""
+    return _sweep(*_coefficients(u, E, h, units))[0]
+
+
+def _mismatch(u: np.ndarray, E: float, h: float, units: UnitSystem, m: int, hk: float) -> float:
+    """Wronskian of the shots from both walls at m, m + 1, as sin(theta_r - theta_l) of their
+    angles theta = atan2(psi' / k, psi) at m + 1/2 (h k = hk): zero exactly at
+    the box's eigenvalues, and smooth in E."""
+    c, a = _coefficients(u, E, h, units)
+    _, l0, l1 = _sweep(c[:m + 2], a[:m + 2])
+    _, r1, r0 = _sweep(c[:m - 1:-1], a[:m - 1:-1])
+    theta_l = math.atan2((l1 - l0) / hk, 0.5 * (l0 + l1))
+    return math.sin(math.atan2((r1 - r0) / hk, 0.5 * (r0 + r1)) - theta_l)
 
 
 def _build_grid(
@@ -150,41 +167,64 @@ def shoot_bound_states(
         raise InvalidInput(f"n_max must be >= 1, got {n_max}")
     floor = potentials.u_min(spec)
     scale = spec.energy_scale(units)
+    tol = numerics.Tolerances(root_abs=config.energy_tol, root_rel=config.energy_tol)
     # U per box, keyed by the endpoints' bits: levels that stop on the same
     # rung of the expansion ladder floor + scale * 2^j share its box
     tables: dict[bytes, np.ndarray] = {}
 
-    def nodes(E: float, grid: np.ndarray) -> int:
+    def box(E: float) -> tuple[np.ndarray, float]:
+        grid = _build_grid(spec, E, config, units)
         key = grid[[0, -1]].tobytes()
         if key not in tables:
             tables[key] = _potential_on_grid(spec, grid, units)
-        return _nodes(tables[key], E, grid[1] - grid[0], units)
+        return tables[key], grid[1] - grid[0]
 
     levels: list[ReferenceLevel] = []
-    e_lo = floor + 1e-9 * scale
-    e_hi = floor + scale
-    grid = _build_grid(spec, e_hi, config, units)
+    e_lo, e_hi = floor + 1e-9 * scale, floor + scale
+    u, h = box(e_hi)
+    lo, n_lo, n_top = e_lo, 0, _nodes(u, e_hi, h, units)
     expansions = 0
     for k in range(n_max):
         # climb the ladder until the box solution has more than k nodes; every
         # rung below the previous level's stopping rung has at most k - 1
         # nodes, so the climb resumes there
-        while nodes(e_hi, grid) <= k:
+        last = u
+        while n_top <= k:
             e_hi = floor + (e_hi - floor) * 2.0
             expansions += 1
             if expansions > 60:
                 raise ConvergenceFailure(f"could not bracket reference level {k}")
-            grid = _build_grid(spec, e_hi, config, units)
-        # the box stays frozen while bisecting on the node count transition k -> k+1
-        lo, hi = e_lo, e_hi
-        while hi - lo > config.energy_tol * (1.0 + abs(lo)):
+            u, h = box(e_hi)
+            n_top = _nodes(u, e_hi, h, units)
+        # the last level's upper end starts this one if it counts k nodes, in
+        # a new box too; else the floor does
+        if n_lo != k or (k > 0 and u is not last and _nodes(u, lo, h, units) != k):
+            lo, n_lo = e_lo, 0
+        # isolate: node counts narrow [lo, hi] until they read k and k + 1
+        hi, n_hi = e_hi, n_top
+        while hi - lo > config.energy_tol * (1.0 + abs(lo)) and (n_lo, n_hi) != (k, k + 1):
             mid = 0.5 * (lo + hi)
-            if nodes(mid, grid) > k:
-                hi = mid
+            n_mid = _nodes(u, mid, h, units)
+            if n_mid > k:
+                hi, n_hi = mid, n_mid
             else:
-                lo = mid
+                lo, n_lo = mid, n_mid
         energy = 0.5 * (lo + hi)
+        if hi - lo > config.energy_tol * (1.0 + abs(lo)):
+            # refine: Brent on the mismatch at the last interior point below lo
+            # (else the lowest), which is allowed all over [lo, hi]
+            m = int(np.flatnonzero(u[1:-1] <= max(lo, u[1:-1].min()))[-1]) + 1
+            m = min(max(m, 2), len(u) - 4)
+            hk = h * math.sqrt(2.0 * units.mass * (hi - floor)) / units.hbar
+            f = lambda E: _mismatch(u, E, h, units, m, hk)
+            f_lo, f_hi = f(lo), f(hi)
+            # no sign change (rounding, or a floor that already counts a node, as
+            # a negative c next to a pole wall gives): refine on the counts
+            if not f_lo * f_hi < 0.0:
+                f, f_lo, f_hi = (lambda E: _nodes(u, E, h, units) - k - 0.5), -0.5, 0.5
+            energy = numerics.bisect(f, numerics.Bracket(lo, hi, f_lo, f_hi), tol)
         levels.append(ReferenceLevel(n_index=k, energy=energy, node_count=k))
+        lo, n_lo = hi, n_hi
     return levels
 
 

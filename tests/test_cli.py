@@ -200,6 +200,11 @@ class TestScatter:
             (["--u0", "-Infinity", "--energy", "2"], "--u0 must be finite, got -inf"),
             (["--u0", "1", "--e-min", "-NaN", "--e-max", "1", "--e-count", "3"], "--e-min must be finite, got nan"),
             (["--u0", "1", "--e-min", "1", "--e-max", "-inf", "--e-count", "3"], "--e-max must be finite, got -inf"),
+            # nor does it take -1e-3 or -1. for a number
+            (["--u0", "1", "--energy", "2", "--x", "-1e-3"], "x probe must be >= 0, got -0.001"),
+            (["--u0", "1", "--energy", "2", "--x", "-1."], "x probe must be >= 0, got -1.0"),
+            (["--u0", "-1e-3", "--energy", "2"], "u0 must be positive, got -0.001"),
+            (["--u0", "1", "--energy", "2", "--hbar", "-1e5"], "hbar must be positive, got -100000.0"),
         ],
     )
     def test_non_finite_range_or_u0_is_4_before_any_work(self, flags, message, capsys, monkeypatch):
@@ -396,7 +401,7 @@ class TestExitCodes:
         assert err.startswith("turnpoint: parse error: domain bounds must be finite")
 
     @pytest.mark.parametrize("flag", ["--tol-energy", "--tol-quad"])
-    @pytest.mark.parametrize("value", ["nan", "0", "-1", "inf", "-inf", "-nan"])
+    @pytest.mark.parametrize("value", ["nan", "0", "-1", "inf", "-inf", "-nan", "-1e-3", "-1."])
     def test_inadmissible_tolerance_is_4(self, flag, value, capsys):
         code, out, err = run(["solve", "--potential", "sho:omega=1", flag, value], capsys)
         assert (code, out) == (4, "")

@@ -22,6 +22,15 @@ from turnpoint.potentials import (
 
 U = UnitSystem()
 
+_DEFAULT_WELLS = [
+    InfiniteSquareWell(L=1.0),
+    HarmonicOscillator(omega=1.0),
+    TrigWell(u0=1.0, a=1.0),
+    VWell(u0=1.0),
+    ParabolicWell(u0=1.0, a=1.0),
+    QuadraticInverse(a=1.0, b=1.0),
+]
+
 
 class TestConfig:
     def test_defaults_valid(self):
@@ -90,18 +99,43 @@ class TestBoundStates:
             reference.shoot_bound_states(InfiniteSquareWell(L=1.0), 0, units=U)
 
     def test_each_level_resumes_the_ladder_of_the_last(self, monkeypatch):
-        # a level restarting the ladder at its first rung takes 187 passes here
-        passes = 0
-        nodes = reference._nodes
+        # every kernel run counts: node counts and both matching halves; node
+        # count bisection from the floor took 166 here
+        runs = 0
+        sweep = reference._sweep
 
         def counted(*args):
-            nonlocal passes
-            passes += 1
-            return nodes(*args)
+            nonlocal runs
+            runs += 1
+            return sweep(*args)
 
-        monkeypatch.setattr(reference, "_nodes", counted)
+        monkeypatch.setattr(reference, "_sweep", counted)
         reference.shoot_bound_states(InfiniteSquareWell(L=1.0), 5, units=U)
-        assert passes == 166
+        assert runs == 97
+
+    @pytest.mark.parametrize("spec", _DEFAULT_WELLS, ids=repr)
+    def test_at_most_25_passes_per_level(self, spec, monkeypatch):
+        # a pass is a full wall-to-wall run of the recurrence: a node count,
+        # or the two halves of one mismatch evaluation
+        steps = 0
+        sweep = reference._sweep
+
+        def counted(c, a):
+            nonlocal steps
+            steps += len(c) - 2
+            return sweep(c, a)
+
+        monkeypatch.setattr(reference, "_sweep", counted)
+        full = reference.NumerovConfig().n_points - 2
+        # levels come out in order and n_max only ends the loop, so level k
+        # costs the difference between the first k + 1 and the first k
+        totals = [0]
+        for n_max in range(1, 6):
+            steps = 0
+            reference.shoot_bound_states(spec, n_max, units=U)
+            assert steps % full == 0
+            totals.append(steps // full)
+        assert max(b - a for a, b in zip(totals, totals[1:])) <= 25
 
     @pytest.mark.parametrize("spec", [InfiniteSquareWell(L=2.0), TrigWell(u0=1000.0, a=1.0)])
     def test_a_finite_domain_is_the_box(self, spec):
@@ -184,6 +218,84 @@ class TestExactSpectra:
         )
         exact = [_radial_oscillator(0.05, 0.05, k) - 0.1 for k in range(5)]
         assert [lv.energy for lv in levels] == pytest.approx(exact, rel=5e-4)
+
+
+# -- matching refinement against node-count bisection -----------------------
+
+
+def _bisected_levels(spec, n_max, config, units):
+    """Levels as node-count bisection found them before the matching
+    refinement: each level bisects the count transition k -> k+1 from the
+    floor, in the box of the ladder rung that first shows more than k nodes."""
+    floor = potentials.u_min(spec)
+    scale = spec.energy_scale(units)
+    levels = []
+    e_lo, e_hi = floor + 1e-9 * scale, floor + scale
+
+    def box(E):
+        grid = reference._build_grid(spec, E, config, units)
+        return reference._potential_on_grid(spec, grid, units), grid[1] - grid[0]
+
+    u, h = box(e_hi)
+
+    def nodes(E):
+        return reference._nodes(u, E, h, units)
+
+    for k in range(n_max):
+        while nodes(e_hi) <= k:
+            e_hi = floor + (e_hi - floor) * 2.0
+            u, h = box(e_hi)
+        lo, hi = e_lo, e_hi
+        while hi - lo > config.energy_tol * (1.0 + abs(lo)):
+            mid = 0.5 * (lo + hi)
+            if nodes(mid) > k:
+                hi = mid
+            else:
+                lo = mid
+        levels.append(0.5 * (lo + hi))
+    return levels
+
+
+_BOXES = [(spec, reference.NumerovConfig()) for spec in _DEFAULT_WELLS] + [
+    (ParabolicWell(u0=0.05, a=1.0), reference.NumerovConfig(box_padding=10.0)),
+    (parse_potential_spec("expr:0.5*x^2;domain=-12..12"), reference.NumerovConfig()),
+    # unpadded boxes grow enough from rung to rung that the last level's
+    # upper end counts more than k nodes in the next box
+    (VWell(u0=1.0), reference.NumerovConfig(box_padding=0.0)),
+    (ParabolicWell(u0=1.0, a=1.0), reference.NumerovConfig(box_padding=0.0)),
+]
+
+
+class TestMatchingRefinement:
+    @pytest.fixture(scope="class")
+    def bisected(self):
+        return {repr((spec, config)): _bisected_levels(spec, 4, config, U) for spec, config in _BOXES}
+
+    @pytest.mark.parametrize("spec, config", _BOXES, ids=[repr(box) for box in _BOXES])
+    def test_the_box_eigenvalue_is_unchanged(self, spec, config, bisected):
+        levels = reference.shoot_bound_states(spec, 4, config, U)
+        for lv, old in zip(levels, bisected[repr((spec, config))]):
+            assert abs(lv.energy - old) <= 2.0 * config.energy_tol * (1.0 + abs(old))
+
+    def test_counts_refine_where_the_mismatch_shows_no_sign_change(self, bisected, monkeypatch):
+        spec, config = _BOXES[1]
+        monkeypatch.setattr(reference, "_mismatch", lambda *args: 1.0)
+        levels = reference.shoot_bound_states(spec, 4, config, U)
+        for lv, old in zip(levels, bisected[repr((spec, config))]):
+            assert abs(lv.energy - old) <= 2.0 * config.energy_tol * (1.0 + abs(old))
+
+    @pytest.mark.parametrize("m", [500, 2000, 3900])
+    def test_mismatch_vanishes_at_the_box_eigenvalue(self, m):
+        # the box eigenvalue does not depend on where the two shots meet
+        spec, units = InfiniteSquareWell(L=1.0), U
+        grid = reference._build_grid(spec, 1.0, reference.NumerovConfig(), units)
+        u, h = reference._potential_on_grid(spec, grid, units), grid[1] - grid[0]
+        energy = reference.shoot_bound_states(spec, 1, units=units)[0].energy
+        hk = h * math.pi
+        assert abs(reference._mismatch(u, energy, h, units, m, hk)) < 1e-8
+        below = reference._mismatch(u, energy - 1e-3, h, units, m, hk)
+        above = reference._mismatch(u, energy + 1e-3, h, units, m, hk)
+        assert below * above < 0.0
 
 
 # -- the float recurrence against the numpy loop it replaced -----------------
