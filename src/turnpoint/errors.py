@@ -66,7 +66,7 @@ class MaxIterationsExceeded(TurnpointError):
 
 
 class QuadratureDivergence(TurnpointError):
-    """Adaptive quadrature hit max depth without convergence."""
+    """Quadrature gave up: max depth, a non-integrable singularity or a non-finite f."""
 
 
 class ConvergenceFailure(TurnpointError):

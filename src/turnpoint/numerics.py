@@ -1,5 +1,4 @@
-"""Shared numerical kernel: root bracketing and refinement, adaptive Simpson
-quadrature tolerant of integrable endpoint singularities, and the
+"""Shared numerical kernel: root bracketing and refinement, quadrature, and the
 self-consistent scalar-equation solver behind every implicit energy formula.
 
 Every root is refined inside a sign-change bracket by Brent's method
@@ -13,12 +12,19 @@ given as arrays of abscissae and values with NaN at the points that could
 not be evaluated. `bracket_roots` scans a callable with it, on a uniform or
 a geometric grid, and the solver applies it to E - U read from its
 per-solve table of U.
+
+Every integral (S, Q, the norm) is one globally adaptive Gauss-Kronrod 7-15
+rule, `integrate`: open nodes need no code for walls or endpoint
+singularities, and global halving resolves interior kinks (|x| in S). A
+panel is halved at most quad_max_depth times; that, and narrow panels with
+too large an estimate, are its two QuadratureDivergence exits.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -194,134 +200,81 @@ def bisect(f: Callable[[float], float], b: Bracket, tol: Tolerances | None = Non
 def integrate(
     f: Callable[[float], float], a: float, b: float, tol: Tolerances | None = None
 ) -> float:
-    """Adaptive Simpson integral of f over [a, b].
+    """Integral of f over [a, b] by the globally adaptive Gauss-Kronrod 7-15
+    rule of QUADPACK (Piessens et al. 1983).
 
-    If f raises at an endpoint, the affected sub-interval is shrunk
-    geometrically toward that endpoint (factor 0.5 per step) and slices
-    are summed until the last slice contributes below quad_rel * |total|:
-    integrable endpoint singularities converge, non-integrable ones raise
-    QuadratureDivergence.
+    The panel with the largest estimate |K15 - G7| is halved until the
+    estimates sum to at most quad_rel * |total|. f is never evaluated at a
+    panel's ends, so walls and integrable endpoint singularities need no
+    code of their own. Two exits raise QuadratureDivergence: a panel still
+    the worst after quad_max_depth halvings, the most a panel may take; and
+    panels too narrow to halve (their halves' outer nodes would round onto
+    the ends) whose estimates sum to at least sqrt(quad_rel) * |total|.
+    Intervals under about 120 ulps take the midpoint rule.
     """
     tol = tol or Tolerances()
     if not a < b:
         if a == b:
             return 0.0
         raise ValueError(f"integrate requires a <= b, got [{a}, {b}]")
-    a_bad = not _evaluable(f, a)
-    b_bad = not _evaluable(f, b)
-    if not a_bad and not b_bad:
-        return _adaptive_simpson(f, a, b, tol)
-    # shrink away from singular endpoints, then sum geometric slices inward
-    width = b - a
-    inset = 0.25
-    lo = a + width * inset if a_bad else a
-    hi = b - width * inset if b_bad else b
-    while not (_evaluable(f, lo) and _evaluable(f, hi)) :
-        inset *= 0.5
-        if inset < 1e-40:
-            raise QuadratureDivergence("no evaluable core interval found")
-        lo = a + width * inset if a_bad else a
-        hi = b - width * inset if b_bad else b
-    total = _adaptive_simpson(f, lo, hi, tol)
-    if a_bad:
-        total += _singular_tail(f, a, lo, tol, toward_lo=True, core=total)
-    if b_bad:
-        total += _singular_tail(f, hi, b, tol, toward_lo=False, core=total)
+    if _too_narrow(a, b):
+        return (b - a) * f(0.5 * (a + b))
+    value, err = _kronrod(f, a, b)
+    total, active_err, narrow = value, err, []
+    heap = [(-err, a, b, value, 0)]  # worst panel first
+    while heap and active_err > tol.quad_rel * abs(total):
+        neg_err, lo, hi, value, depth = heapq.heappop(heap)
+        active_err += neg_err
+        mid = 0.5 * (lo + hi)
+        if _too_narrow(lo, mid) or _too_narrow(mid, hi):
+            narrow.append((value, -neg_err))
+            continue
+        if depth == tol.quad_max_depth:
+            raise QuadratureDivergence(f"quadrature failed to converge on [{lo}, {hi}]")
+        total -= value
+        for left, right in ((lo, mid), (mid, hi)):
+            value, err = _kronrod(f, left, right)
+            heapq.heappush(heap, (-err, left, right, value, depth + 1))
+            total, active_err = total + value, active_err + err
+    total = math.fsum([panel[3] for panel in heap] + [value for value, _ in narrow])
+    if narrow and math.fsum(err for _, err in narrow) >= math.sqrt(tol.quad_rel) * abs(total):
+        raise QuadratureDivergence("singularity does not appear integrable")
     return total
 
 
-def _evaluable(f: Callable[[float], float], x: float) -> bool:
-    try:
-        return math.isfinite(f(x))
-    except _EVAL_ERRORS:
-        return False
+# G7-K15 on [-1, 1]: 1 - x for the Kronrod nodes x > 0, descending, and the
+# weights, the centre x = 0 last (every other Kronrod node is a Gauss node)
+_OFFSETS = (0.00854462887918736, 0.05089208765724147, 0.13513557664023093, 0.25846881440060554,
+            0.41391276453230885, 0.5941548486226028, 0.7922150449921015)
+_WGK = (0.022935322010529224, 0.06309209262997856, 0.10479001032225019, 0.14065325971552592,
+        0.1690047266392679, 0.19035057806478542, 0.20443294007529889, 0.20948214108472782)
+_WG = (0.0, 0.1294849661688697, 0.0, 0.27970539148927664, 0.0, 0.3818300505051189, 0.0,
+       0.4179591836734694)
 
 
-def _singular_tail(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: Tolerances,
-    toward_lo: bool,
-    core: float,
-) -> float:
-    """Sum slices shrinking geometrically toward the singular endpoint."""
-    total = 0.0
-    width = b - a
-    outer = b if toward_lo else a  # evaluable edge
-    frac = 1.0
-    max_slices = 400
-    prev_slice = math.inf
-    for _ in range(max_slices):
-        frac *= 0.5
-        inner = a + width * frac if toward_lo else b - width * frac
-        singular_end = a if toward_lo else b
-        if inner == outer or inner == singular_end:
-            # slice width fell below one ulp of the endpoint; accept the sum
-            # if the contributions were shrinking (integrable tail)
-            if abs(prev_slice) < math.sqrt(tol.quad_rel) * max(abs(core) + abs(total), 1e-300):
-                return total
-            raise QuadratureDivergence("endpoint singularity does not appear integrable")
-        lo, hi = (inner, outer) if toward_lo else (outer, inner)
-        slice_value = _adaptive_simpson(f, lo, hi, tol)
-        total += slice_value
-        outer = inner
-        prev_slice = slice_value
-        scale = abs(core) + abs(total)
-        if abs(slice_value) <= tol.quad_rel * max(scale, 1e-300):
-            return total
-    raise QuadratureDivergence("endpoint singularity does not appear integrable")
+def _too_narrow(a: float, b: float) -> bool:
+    """True when the outermost node of [a, b] rounds onto an end."""
+    offset = 0.5 * (b - a) * _OFFSETS[0]
+    return not (a < a + offset and b - offset < b)
 
 
-def _adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: Tolerances) -> float:
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    # tolerance scale from a 16-panel composite: the crude 3-point estimate
-    # can be spuriously tiny when the samples straddle the integrand's nodes
-    n = 16
-    h = (b - a) / n
-    samples = [fa] + [f(a + h * i) for i in range(1, n)] + [fb]
-    composite = h / 3.0 * sum(
-        w * v for w, v in zip([1] + [4, 2] * (n // 2 - 1) + [4, 1], samples)
-    )
-    scale = max(abs(whole), abs(composite), 1e-300)
-    # force the first levels of subdivision: oscillatory integrands whose
-    # nodes sit on the dyadic sample points would otherwise be accepted as 0
-    return _simpson_rec(
-        f, a, b, fa, fm, fb, whole, tol.quad_rel * scale, tol.quad_max_depth, tol, force=6
-    )
-
-
-def _simpson_rec(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    fa: float,
-    fm: float,
-    fb: float,
-    whole: float,
-    eps: float,
-    depth: int,
-    tol: Tolerances,
-    force: int = 0,
-) -> float:
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    if (force <= 0 and abs(delta) <= 15.0 * eps) or m <= a or b <= m:
-        return left + right + delta / 15.0
-    if depth <= 0:
-        raise QuadratureDivergence(f"quadrature failed to converge on [{a}, {b}]")
-    return (
-        _simpson_rec(f, a, m, fa, flm, fm, left, eps / 2.0, depth - 1, tol, force - 1)
-        + _simpson_rec(f, m, b, fm, frm, fb, right, eps / 2.0, depth - 1, tol, force - 1)
-    )
+def _kronrod(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+    """K15 and |K15 - G7| on [a, b]. Nodes are placed from the nearer end,
+    a + h (1 - x) or b - h (1 - x): c +- h x can round onto an end."""
+    h = 0.5 * (b - a)
+    centre = f(a + h)
+    kronrod, gauss, absolute = _WGK[7] * centre, _WG[7] * centre, _WGK[7] * abs(centre)
+    for j, offset in enumerate(_OFFSETS):
+        left, right = f(a + h * offset), f(b - h * offset)
+        kronrod += _WGK[j] * (left + right)
+        gauss += _WG[j] * (left + right)
+        absolute += _WGK[j] * (abs(left) + abs(right))
+    err = abs(h * (kronrod - gauss))
+    if not math.isfinite(err):
+        raise QuadratureDivergence(f"integrand is not finite on [{a}, {b}]")
+    # a difference within rounding of the |f| integral is noise that halving cannot
+    # shrink: it counts as 0, or an integral that cancels to ~0 would halve forever
+    return h * kronrod, (0.0 if err <= 50.0 * math.ulp(1.0) * h * absolute else err)
 
 
 def _skip_causes(g: Callable[[float], float], xs: Sequence[float]) -> str:
@@ -381,13 +334,7 @@ def solve_self_consistent(
     brackets = bracket_roots(g, e_lo, e_hi, _LADDER_STEPS, geometric=True)
     bracket = brackets[0] if brackets else _scanned_bracket(g, e_lo, e_hi, n_grid)
     # refine well past the interval tolerance so steep residuals still land
-    tight = Tolerances(
-        root_abs=1e-14,
-        root_rel=max(tol.energy_rel * 1e-4, 1e-15),
-        quad_rel=tol.quad_rel,
-        quad_max_depth=tol.quad_max_depth,
-        energy_rel=tol.energy_rel,
-    )
+    tight = replace(tol, root_abs=1e-14, root_rel=max(tol.energy_rel * 1e-4, 1e-15))
     root = bisect(g, bracket, tight)
     residual = abs(g(root))
     if residual > tol.energy_rel * (1.0 + abs(root)):

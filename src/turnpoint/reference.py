@@ -80,10 +80,14 @@ def numerov_integrate(
     return _recurrence(u, E, grid[1] - grid[0], units)
 
 
+def _stencil(u: np.ndarray, E: float, h: float, units: UnitSystem) -> np.ndarray:
+    """c = 1 + h^2 g / 12 with g = 2 m (E - U) / hbar^2 at each point."""
+    return 1.0 + h * h * ((2.0 * units.mass / (units.hbar * units.hbar)) * (E - u)) / 12.0
+
+
 def _coefficients(u: np.ndarray, E: float, h: float, units: UnitSystem) -> tuple[list, list[float]]:
     """c and a = 12 - 10 c of psi[i+1] = (a[i] psi[i] - c[i-1] psi[i-1]) / c[i+1]."""
-    g = (2.0 * units.mass / (units.hbar * units.hbar)) * (E - u)
-    c = 1.0 + h * h * g / 12.0
+    c = _stencil(u, E, h, units)
     a = (12.0 - 10.0 * c).tolist()
     # numpy scalars keep numpy's inf/nan for a zero divisor, not ZeroDivisionError
     return (c.tolist() if c.all() else list(c)), a
@@ -171,16 +175,22 @@ def shoot_bound_states(
     # U per box, keyed by the endpoints' bits: levels that stop on the same
     # rung of the expansion ladder floor + scale * 2^j share its box
     tables: dict[bytes, np.ndarray] = {}
+    e_lo, e_hi = floor + 1e-9 * scale, floor + scale
 
     def box(E: float) -> tuple[np.ndarray, float]:
         grid = _build_grid(spec, E, config, units)
         key = grid[[0, -1]].tobytes()
         if key not in tables:
-            tables[key] = _potential_on_grid(spec, grid, units)
+            u = tables[key] = _potential_on_grid(spec, grid, units)
+            # c grows with E: where it is not positive at the floor, psi flips sign at
+            # every E (c[0] multiplies the pinned psi = 0)
+            c = _stencil(u, e_lo, grid[1] - grid[0], units)
+            i = int(np.argmin(c[1:])) + 1
+            if not c[i] > 0.0:
+                raise ConvergenceFailure(f"Numerov coefficient c = 1 + h^2 g / 12 is {c[i]} at x = {grid[i]}")
         return tables[key], grid[1] - grid[0]
 
     levels: list[ReferenceLevel] = []
-    e_lo, e_hi = floor + 1e-9 * scale, floor + scale
     u, h = box(e_hi)
     lo, n_lo, n_top = e_lo, 0, _nodes(u, e_hi, h, units)
     expansions = 0
@@ -218,8 +228,7 @@ def shoot_bound_states(
             hk = h * math.sqrt(2.0 * units.mass * (hi - floor)) / units.hbar
             f = lambda E: _mismatch(u, E, h, units, m, hk)
             f_lo, f_hi = f(lo), f(hi)
-            # no sign change (rounding, or a floor that already counts a node, as
-            # a negative c next to a pole wall gives): refine on the counts
+            # no sign change (rounding): refine on the counts
             if not f_lo * f_hi < 0.0:
                 f, f_lo, f_hi = (lambda E: _nodes(u, E, h, units) - k - 0.5), -0.5, 0.5
             energy = numerics.bisect(f, numerics.Bracket(lo, hi, f_lo, f_hi), tol)

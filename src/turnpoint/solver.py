@@ -31,6 +31,7 @@ from .errors import (
     DegenerateNorm,
     InvalidEnergy,
     InvalidLevel,
+    InvalidRegion,
     NoBoundRegion,
 )
 from .numerics import Tolerances
@@ -304,7 +305,10 @@ def q_function(
     m1 = units.m1
 
     def sqrt_u(x: float) -> float:
-        return math.sqrt(potentials.evaluate(spec, x, units))
+        u = potentials.evaluate(spec, x, units)
+        if u < 0.0:
+            raise InvalidRegion(f"Q needs U >= 0 on the well, but U({x!r}) = {u!r} < 0")
+        return math.sqrt(u)
 
     def numeric(x: float) -> float:
         # magnitude of the running integral: reproduces the even closed-form

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -388,6 +389,25 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert err.startswith("turnpoint: convergence failure: no sign change of the residual")
         assert "1 for AmbiguousWells (found 4 turning points at E=6.07997" in err
+        assert err.count("\n") == 1
+
+    def test_negative_u_under_the_root_is_4(self, capsys):
+        # U = x^2 - 0.1 dips below 0 inside the well, where Q takes sqrt(U)
+        code, out, err = run(
+            ["wavefunction", "--potential", "expr:x^2-0.1;domain=-3..3", "--n", "1", "--variant", "general"],
+            capsys,
+        )
+        assert (code, out) == (4, "")
+        assert re.fullmatch(
+            r"turnpoint: invalid input: Q needs U >= 0 on the well, but U\(\S+\) = -\S+ < 0\n", err
+        )
+
+    def test_steep_walled_trig_well_is_3_in_the_oracle(self, capsys):
+        code, out, err = run(
+            ["compare", "--potential", "trig:u0=1e10,a=1", "--n-max", "2", "--variant", "general"], capsys
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("turnpoint: convergence failure: Numerov coefficient c = 1 + h^2 g / 12 is -")
         assert err.count("\n") == 1
 
     def test_negative_scatter_energy_is_4(self, capsys):

@@ -10,6 +10,7 @@ from turnpoint import numerics
 from turnpoint.errors import (
     AmbiguousWells,
     ConvergenceFailure,
+    DomainError,
     MaxIterationsExceeded,
     NoBoundRegion,
     QuadratureDivergence,
@@ -179,9 +180,26 @@ class TestBisectProperties:
         assert root == pytest.approx(0.95, abs=1e-10)
 
 
+def _wall(x):
+    # a hard wall at both ends, where U would be undefined
+    if x in (0.0, 1.0):
+        raise DomainError(f"wall at {x}")
+    return 6.0 * x * (1.0 - x)
+
+
+# integrands on [a, b]; the last three are singular or walled at an end
+_OPEN_CASES = {
+    "cubic": (lambda x: x ** 3 - 2.0 * x + 1.0, 0.0, 2.0),
+    "sin": (math.sin, 0.0, math.pi),
+    "x^-1/2 at a": (lambda x: x ** -0.5, 0.0, 1.0),
+    "(1-x)^-1/2 at b": (lambda x: (1.0 - x) ** -0.5, 0.0, 1.0),
+    "walls at a and b": (_wall, 0.0, 1.0),
+}
+
+
 class TestIntegrate:
     def test_cubic_is_exact(self):
-        # Simpson is exact on cubics; allow one rounding of the result scale
+        # the rule is exact on cubics (G7 to degree 13); allow one rounding of the result scale
         value = numerics.integrate(lambda x: x ** 3 - 2.0 * x + 1.0, 0.0, 2.0)
         exact = 2.0  # x^4/4 - x^2 + x at 2
         assert abs(value - exact) <= math.ulp(exact)
@@ -198,6 +216,25 @@ class TestIntegrate:
         value = numerics.integrate(lambda x: (1.0 - x) ** -0.5, 0.0, 1.0)
         assert value == pytest.approx(2.0, abs=1e-6)
 
+    def test_walls_at_both_ends(self):
+        assert numerics.integrate(_wall, 0.0, 1.0) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(_OPEN_CASES))
+    def test_f_is_never_called_at_the_ends(self, name):
+        f, a, b = _OPEN_CASES[name]
+        seen = []
+
+        def recorded(x):
+            seen.append(x)
+            return f(x)
+
+        numerics.integrate(recorded, a, b)
+        assert seen and all(a < x < b for x in seen)
+
+    def test_integral_that_cancels_to_zero_stops(self):
+        # |K15 - G7| at rounding level is not halved, although |total| is about 0
+        assert abs(numerics.integrate(lambda x: x - 0.3, 0.0, 0.6)) <= 1e-15
+
     def test_reversed_limits_rejected(self):
         with pytest.raises(ValueError):
             numerics.integrate(lambda x: x, 1.0, 0.0)
@@ -205,6 +242,8 @@ class TestIntegrate:
     def test_nonintegrable_pole_raises(self):
         with pytest.raises(QuadratureDivergence):
             numerics.integrate(lambda x: 1.0 / x, 0.0, 1.0)
+        with pytest.raises(QuadratureDivergence, match="not finite"):
+            numerics.integrate(lambda x: math.nan, 0.0, 1.0)
 
     def test_zero_width_interval(self):
         assert numerics.integrate(lambda x: x * x, 1.0, 1.0) == 0.0

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from turnpoint import potentials, reference
-from turnpoint.errors import InvalidInput
+from turnpoint.errors import ConvergenceFailure, InvalidInput
 from turnpoint.potentials import (
     HarmonicOscillator,
     InfiniteSquareWell,
@@ -97,6 +97,17 @@ class TestBoundStates:
     def test_invalid_n_max(self):
         with pytest.raises(InvalidInput):
             reference.shoot_bound_states(InfiniteSquareWell(L=1.0), 0, units=U)
+
+    def test_steep_trig_wall_is_refused(self):
+        # m u0 a^2 / hbar^2 above 6 pi^2 makes c = 1 + h^2 g / 12 negative
+        # next to the wall at every grid step
+        with pytest.raises(ConvergenceFailure, match=r"c = 1 \+ h\^2 g / 12 is -.* at x = "):
+            reference.shoot_bound_states(TrigWell(u0=60.0, a=1.0), 1, units=U)
+
+    def test_trig_wall_just_below_the_limit_keeps_its_levels(self):
+        levels = reference.shoot_bound_states(TrigWell(u0=59.0, a=1.0), 2, units=U)
+        assert [lv.node_count for lv in levels] == [0, 1]
+        assert 19.0 < levels[0].energy < levels[1].energy
 
     def test_each_level_resumes_the_ladder_of_the_last(self, monkeypatch):
         # every kernel run counts: node counts and both matching halves; node

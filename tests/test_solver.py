@@ -1,6 +1,7 @@
 """Energy levels, S-integral, wavefunction construction and normalization."""
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -224,6 +225,39 @@ class TestWaveFunctions:
         assert rows[1][1] == pytest.approx(math.sqrt(2.0), rel=1e-9)
 
 
+class TestNormalizeCost:
+    def _counted_normalize(self, spec, level, monkeypatch):
+        """Normalize one level, counting calls to Q and to U."""
+        lv = solver.excited_energy(spec, level, U)
+        desc = solver.wavefunction(spec, level, lv.energy, U)
+        calls = {"q": 0, "u": 0}
+        q_eval, evaluate = desc.q_eval, potentials.evaluate
+
+        def q_counted(x):
+            calls["q"] += 1
+            return q_eval(x)
+
+        def u_counted(*args):
+            calls["u"] += 1
+            return evaluate(*args)
+
+        monkeypatch.setattr(potentials, "evaluate", u_counted)
+        solver.normalize(replace(desc, q_eval=q_counted))
+        return calls
+
+    def test_sho_antisymmetric_n4_takes_at_most_600_integrand_evaluations(self, monkeypatch):
+        # one Q per density evaluation: the closed form, no U
+        level = solver.LevelSpec(4, "antisymmetric")
+        calls = self._counted_normalize(HarmonicOscillator(omega=1.0), level, monkeypatch)
+        assert calls["u"] == 0
+        assert 0 < calls["q"] <= 600
+
+    def test_expression_n2_takes_at_most_5000_u_evaluations(self, monkeypatch):
+        spec = parse_potential_spec("expr:0.5*x^2;domain=-12..12")
+        calls = self._counted_normalize(spec, solver.LevelSpec(2, "general"), monkeypatch)
+        assert 0 < calls["u"] <= 5_000
+
+
 class TestQFunction:
     def test_numeric_path_needs_anchor(self):
         expr = parse_potential_spec("expr:0.5*x^2;domain=-10..10")
@@ -299,20 +333,6 @@ class TestUTable:
         for n in (256, 512):
             fresh = numerics.bracket_roots(lambda x: -potentials.evaluate(spec, x, U), 0.0, hi, n)
             assert _key(table.brackets(0.0, n)) == _key(fresh)
-
-    def test_roadmap_ground_case_stays_under_12000_u_evaluations(self, monkeypatch):
-        calls = [0]
-        evaluate = potentials.evaluate
-
-        def counted(*args):
-            calls[0] += 1
-            return evaluate(*args)
-
-        monkeypatch.setattr(potentials, "evaluate", counted)
-        spec = parse_potential_spec("expr:0.5*x^2;domain=-12..12")
-        gs = solver.ground_state_energy(spec, U)
-        assert gs.energy == pytest.approx(0.5, abs=1e-8)
-        assert calls[0] <= 12_000
 
     def test_roadmap_ground_case_stays_under_3000_u_evaluations(self, monkeypatch):
         calls = [0]
