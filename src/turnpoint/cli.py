@@ -108,20 +108,12 @@ def _check_residual(residual: float, scale: float, tol: Tolerances) -> None:
 
 
 def _solve_levels(config: RunConfig) -> tuple[solver.GroundState, list[solver.EnergyLevel]]:
-    ground = solver.ground_state_energy(config.potential, config.units, config.tolerances)
+    wanted = [solver.LevelSpec(n, v) for n in range(1, config.n_max + 1) for v in config.variants]
+    ground, levels = solver._solve_spectrum(config.potential, wanted, config.units, config.tolerances)
     _check_residual(ground.residual, ground.energy, config.tolerances)
-    levels: list[solver.EnergyLevel] = []
-    for n in range(1, config.n_max + 1):
-        per_n = [
-            solver.excited_energy(
-                config.potential, solver.LevelSpec(n, variant), config.units, config.tolerances
-            )
-            for variant in config.variants
-        ]
-        per_n.sort(key=lambda lv: lv.energy)
-        for lv in per_n:
-            _check_residual(lv.residual, lv.level.q * math.pi, config.tolerances)
-        levels.extend(per_n)
+    levels.sort(key=lambda lv: (lv.level.n, lv.energy))  # stable: variant order breaks ties
+    for lv in levels:
+        _check_residual(lv.residual, lv.level.q * math.pi, config.tolerances)
     return ground, levels
 
 

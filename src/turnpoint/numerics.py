@@ -10,8 +10,8 @@ keep the bracket and bound the work where interpolation fails.
 Brackets come from one sign-change rule, `sign_changes`, applied to a scan
 given as arrays of abscissae and values with NaN at the points that could
 not be evaluated. `bracket_roots` scans a callable with it, on a uniform or
-a geometric grid, and the solver applies it to E - U read from its
-per-solve table of U.
+a geometric grid, and the solver applies it to E - U read from its table
+of U. `_climb` steps up from a known point below a level instead.
 
 Every integral (S, Q, the norm) is one globally adaptive Gauss-Kronrod 7-15
 rule, `integrate`: open nodes need no code for walls or endpoint
@@ -43,6 +43,7 @@ _BISECT_MAX_ITER = 200
 _EXPAND_FACTOR = 10.0
 _MAX_EXPANSIONS = 12
 _LADDER_STEPS = 13
+_CLIMB_STEPS = 60
 
 
 @dataclass(frozen=True)
@@ -325,20 +326,36 @@ def solve_self_consistent(
     14-point geometric scan up from e_lo (`bracket_roots` with
     geometric=True), its lowest sign change; only when it sees none does
     the uniform scan of `_scanned_bracket` run, with its upward expansion
-    and its failure message. `bisect` then refines the root inside the
+    and its failure message. `_refine` then refines the root inside the
     bracket. The root is the lowest sign change only at the resolution of
     the scan that found it: a bracket of the geometric scan may span up to
     nine tenths of the window.
     """
     tol = tol or Tolerances()
     brackets = bracket_roots(g, e_lo, e_hi, _LADDER_STEPS, geometric=True)
-    bracket = brackets[0] if brackets else _scanned_bracket(g, e_lo, e_hi, n_grid)
-    # refine well past the interval tolerance so steep residuals still land
-    tight = replace(tol, root_abs=1e-14, root_rel=max(tol.energy_rel * 1e-4, 1e-15))
-    root = bisect(g, bracket, tight)
+    return _refine(g, brackets[0] if brackets else _scanned_bracket(g, e_lo, e_hi, n_grid), tol)
+
+
+def _climb(g: Callable[[float], float], lo: float, f_lo: float, step: float) -> Bracket | None:
+    """The first sign change of g above lo, where g(lo) = f_lo < 0: g at
+    lo + step, then at steps that double, until g >= 0. None when a point
+    raises or 60 steps show no sign change."""
+    try:
+        for _ in range(_CLIMB_STEPS):
+            f_hi = g(lo + step)
+            if f_hi >= 0.0:  # Bracket refuses a non-finite or unordered pair
+                return Bracket(lo, lo + step, f_lo, f_hi)
+            lo, f_lo, step = lo + step, f_hi, 2.0 * step
+    except _EVAL_ERRORS:
+        pass
+    return None
+
+
+def _refine(g: Callable[[float], float], bracket: Bracket, tol: Tolerances) -> float:
+    """The root of g in the bracket by `bisect`, refined well past the interval
+    tolerance so steep residuals still land, if |g| <= energy_rel * (1 + |E|) there."""
+    root = bisect(g, bracket, replace(tol, root_abs=1e-14, root_rel=max(tol.energy_rel * 1e-4, 1e-15)))
     residual = abs(g(root))
     if residual > tol.energy_rel * (1.0 + abs(root)):
-        raise ConvergenceFailure(
-            f"residual {residual} above tolerance at E={root}"
-        )
+        raise ConvergenceFailure(f"residual {residual} above tolerance at E={root}")
     return root

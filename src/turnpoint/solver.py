@@ -6,13 +6,16 @@ The quantization branches are K*d = (2n-1)*pi (symmetric, cosine factor),
 K*d = 2*n*pi (antisymmetric, sine factor) and K*d = n*pi (general, cosine for
 odd n, sine for even n), with K = m1*sqrt(E) and d the turning-point width
 evaluated at the same energy. Widths depend on the unknown energy, so every
-level is a root of a scalar residual, bracketed by a geometric energy search
-and refined by Brent's method (`numerics.solve_self_consistent`) rather
-than by fixed-point iteration (the right-hand sides need not contract).
+level is a root of a scalar residual, refined by Brent's method rather than
+by fixed-point iteration (the right-hand sides need not contract). A level
+solve brackets it by a geometric energy search up from the bottom of the
+window (`numerics.solve_self_consistent`). A spectrum solve
+(`_solve_spectrum`) does so for the lowest level only, and brackets each
+level above it upward from the level below, by steps of the last gap.
 
 Wells without closed-form turning points (expressions, the step) find them
-from sign changes of E - U(x) on a grid. U does not depend on E, so each
-level solve tabulates U once, on the 4097-point grid that the finest scan
+from sign changes of E - U(x) on a grid. U does not depend on E, so a
+spectrum solve tabulates U once, on the 4097-point grid that the finest scan
 uses, and every trial energy reads its scans from that table; only the
 root refinements of the turning points (`numerics.bisect`) evaluate U anew.
 """
@@ -39,7 +42,7 @@ from .potentials import PotentialSpec, TurningPoints, UnitSystem
 
 VARIANTS = ("symmetric", "antisymmetric", "general")
 
-_TINY_WIDTH = 1e-12
+_TINY_WIDTH = 1e-12  # widths below this many length scales count as no well
 _SCAN_GRIDS = (256, 512, 1024, 2048, 4096)  # turning-point scans, coarse to fine
 
 
@@ -112,15 +115,15 @@ class WaveFunctionDescriptor:
 class _UTable:
     """U(x) of one (spec, units) on the dyadic grid lo + (hi - lo) * j / 4096.
 
-    U does not depend on E, so one table serves every turning-point scan of
-    a solve. A scan on n_grid points reads every (4096 // n_grid)-th entry:
-    the 257-point grid first, then the odd multiples of 8, 4, 2 and 1, each
-    filled only when the scan first needs it. A scan computes its abscissae
-    with bracket_roots' formula, and i / n_grid == (i * 4096 / n_grid) / 4096
-    exactly, so the shared entries sit at bit-identical x; an entry whose x
-    differs (a grid outside the normal float range) is evaluated again.
-    Scanning the table therefore gives exactly the brackets bracket_roots
-    gives on f(x) = E - U(x).
+    U does not depend on E, so one table serves every turning-point scan
+    of a spectrum solve. A scan on n_grid points reads every
+    (4096 // n_grid)-th entry: the 257-point grid first, then the odd
+    multiples of 8, 4, 2 and 1, each filled only when a scan first needs
+    it. A scan computes its abscissae with bracket_roots' formula, and
+    i / n_grid == (i * 4096 / n_grid) / 4096 exactly, so the shared entries
+    sit at bit-identical x; an entry whose x differs (a grid outside the
+    normal float range) is evaluated again. Scanning the table therefore
+    gives exactly the brackets bracket_roots gives on f(x) = E - U(x).
     """
 
     def __init__(self, spec: PotentialSpec, units: UnitSystem):
@@ -189,25 +192,16 @@ def turning_points(
     return TurningPoints(x1, x2)
 
 
-def _tight(tol: Tolerances) -> Tolerances:
-    """Turning-point tolerance for use inside energy residuals.
+class _Shared:
+    """What the level solves of one (spec, units, tol) share: the U table, the
+    energy window [e_lo, e_hi] (one u_min scan of an expression), and the
+    turning-point tolerance, far below energy_rel, as residuals inherit it."""
 
-    The residual of K(E)*d(E) - q*pi inherits the error of the numeric
-    turning points, so those must be located well below the requested
-    energy tolerance for the final residual check to be satisfiable.
-    """
-    return replace(
-        tol,
-        root_abs=min(tol.root_abs, 1e-14),
-        root_rel=min(tol.root_rel, tol.energy_rel * 1e-3),
-    )
-
-
-def _energy_bracket(spec: PotentialSpec, units: UnitSystem) -> tuple[float, float]:
-    """Initial [E_lo, E_hi] for the self-consistent solves."""
-    floor = potentials.u_min(spec)
-    scale = spec.energy_scale(units)
-    return floor + 1e-9 * scale, floor + 1e3 * scale
+    def __init__(self, spec: PotentialSpec, units: UnitSystem, tol: Tolerances):
+        self.table = _UTable(spec, units)
+        self.tp_tol = replace(tol, root_abs=min(tol.root_abs, 1e-14), root_rel=min(tol.root_rel, tol.energy_rel * 1e-3))
+        floor, scale = potentials.u_min(spec), spec.energy_scale(units)
+        self.e_lo, self.e_hi = floor + 1e-9 * scale, floor + 1e3 * scale
 
 
 def s_integral(
@@ -236,23 +230,22 @@ def ground_state_energy(
     spec: PotentialSpec,
     units: UnitSystem | None = None,
     tol: Tolerances | None = None,
+    _shared: _Shared | None = None,
 ) -> GroundState:
     """Self-consistent zero-point energy E = 2*hbar^2 / (m * d(E)^2)."""
     units = units or UnitSystem()
     tol = tol or Tolerances()
-    tp_tol = _tight(tol)
-    table = _UTable(spec, units)
+    shared = _shared or _Shared(spec, units, tol)
     coeff = 2.0 * (units.hbar * units.hbar) / units.mass
 
     def residual(E: float) -> float:
-        d = turning_points(spec, E, units, tp_tol, table).d  # InvalidEnergy below the minimum
-        if d < _TINY_WIDTH * (1.0 + abs(E)):
+        d = turning_points(spec, E, units, shared.tp_tol, shared.table).d  # InvalidEnergy below the minimum
+        if d < _TINY_WIDTH * spec.scale(units):
             return -math.inf  # E below any admissible level
         return E - coeff / (d * d)
 
-    e_lo, e_hi = _energy_bracket(spec, units)
-    energy = numerics.solve_self_consistent(residual, e_lo, e_hi, tol)
-    tp = turning_points(spec, energy, units, tp_tol, table)
+    energy = numerics.solve_self_consistent(residual, shared.e_lo, shared.e_hi, tol)
+    tp = turning_points(spec, energy, units, shared.tp_tol, shared.table)
     return GroundState(energy=energy, tp=tp, residual=abs(residual(energy)))
 
 
@@ -261,26 +254,49 @@ def excited_energy(
     level: LevelSpec,
     units: UnitSystem | None = None,
     tol: Tolerances | None = None,
+    _shared: _Shared | None = None,
+    _below: tuple[float, float, float] | None = None,
 ) -> EnergyLevel:
-    """Self-consistent solve of K(E) * d(E) = q * pi for the given branch."""
+    """Self-consistent solve of K(E) * d(E) = q * pi for the given branch;
+    with `_below` = (E', residual at E', step) for a level E' below it,
+    bracketed upward from E' first (`numerics._climb`)."""
     units = units or UnitSystem()
     tol = tol or Tolerances()
-    tp_tol = _tight(tol)
-    table = _UTable(spec, units)
+    shared = _shared or _Shared(spec, units, tol)
     m1 = units.m1
     target = level.q * math.pi
 
     def residual(E: float) -> float:
-        d = turning_points(spec, E, units, tp_tol, table).d
-        if d < _TINY_WIDTH * (1.0 + abs(E)):
+        d = turning_points(spec, E, units, shared.tp_tol, shared.table).d
+        if d < _TINY_WIDTH * spec.scale(units):
             return -target
         return m1 * math.sqrt(E) * d - target
 
-    e_lo, e_hi = _energy_bracket(spec, units)
-    energy = numerics.solve_self_consistent(residual, e_lo, e_hi, tol)
-    tp = turning_points(spec, energy, units, tp_tol, table)
+    bracket = _below and numerics._climb(residual, *_below)  # None: scan up from e_lo
+    if bracket:
+        energy = numerics._refine(residual, bracket, tol)
+    else:
+        energy = numerics.solve_self_consistent(residual, shared.e_lo, shared.e_hi, tol)
+    tp = turning_points(spec, energy, units, shared.tp_tol, shared.table)
     K = m1 * math.sqrt(energy)
     return EnergyLevel(level=level, energy=energy, tp=tp, K=K, residual=abs(K * tp.d - target))
+
+
+def _solve_spectrum(
+    spec: PotentialSpec, levels: list[LevelSpec], units: UnitSystem, tol: Tolerances
+) -> tuple[GroundState, list[EnergyLevel]]:
+    """The ground level and `levels` of one well, in the order given, on one
+    `_Shared`. Each distinct q is solved once, in ascending order, upward
+    from the level below, stepping by the last gap (E_ground - E_lo for
+    the lowest q). A level of an already solved q is a copy."""
+    shared = _Shared(spec, units, tol)
+    ground = ground_state_energy(spec, units, tol, _shared=shared)
+    below, step, by_q = ground, ground.energy - shared.e_lo, {}
+    for q in sorted({level.q for level in levels}):
+        f_below = units.m1 * math.sqrt(below.energy) * below.tp.d - q * math.pi
+        lv = excited_energy(spec, LevelSpec(q), units, tol, _shared=shared, _below=(below.energy, f_below, step))
+        below, step, by_q[q] = lv, lv.energy - below.energy, lv
+    return ground, [replace(by_q[level.q], level=level) for level in levels]
 
 
 def q_function(

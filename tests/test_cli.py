@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from turnpoint import cli
+from turnpoint import cli, numerics, solver
 from turnpoint.potentials import UnitSystem
 
 
@@ -75,6 +75,75 @@ class TestSolve:
         assert out == ""
         doc = json.loads(target.read_text())
         assert doc["ground_state"]["energy"] == pytest.approx(2.0, rel=1e-10)
+
+    def test_each_q_is_solved_once(self, capsys, monkeypatch):
+        calls = []
+        excited = solver.excited_energy
+
+        def counted(spec, level, *args, **kwargs):
+            calls.append(level.q)
+            return excited(spec, level, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "excited_energy", counted)
+        doc = run_json(["solve", "--potential", "sho:omega=1", "--n-max", "3", "--variant", "all"], capsys)
+        assert calls == [1, 2, 3, 4, 5, 6]  # for 9 levels
+        assert len(doc["levels"]) == 9
+
+    @pytest.mark.parametrize("spec, ground, level", [
+        # E_q = q^2 pi^2 hbar^2 / (2 m L^2), ground 2 hbar^2 / (m L^2)
+        ("isw:L=1e-4", 2e8, lambda q: q * q * math.pi ** 2 / 2e-8),
+        ("isw:L=1e-8", 2e16, lambda q: q * q * math.pi ** 2 / 2e-16),
+        ("isw:L=1e-150", 2e300, lambda q: q * q * math.pi ** 2 / 2e-300),
+        # E_q = q pi hbar omega / 4, ground hbar omega / 2
+        ("sho:omega=1e8", 5e7, lambda q: q * math.pi * 1e8 / 4.0),
+        ("sho:omega=1e12", 5e11, lambda q: q * math.pi * 1e12 / 4.0),
+    ])
+    def test_narrow_wells_at_high_energy(self, spec, ground, level, capsys):
+        # the width guard compares d with the well's length scale, not with E
+        doc = run_json(["solve", "--potential", spec, "--n-max", "2", "--variant", "all"], capsys)
+        assert doc["ground_state"]["energy"] == pytest.approx(ground, rel=1e-10)
+        q = {"symmetric": lambda n: 2 * n - 1, "antisymmetric": lambda n: 2 * n, "general": lambda n: n}
+        for lv in doc["levels"]:
+            assert lv["energy"] == pytest.approx(level(q[lv["variant"]](lv["n"])), rel=1e-10)
+
+    @pytest.mark.parametrize("expr, family, n_max", [
+        # levels reach past the 10-fold step of the geometric scan from E_lo
+        ("expr:abs(x);domain=-5..5", "vwell:u0=1", "3"),
+        ("expr:1/x^2+x^2;domain=0..5", "axb:a=1,b=1", "4"),
+    ])
+    def test_expression_levels_above_the_lowest_match_the_family(self, expr, family, n_max, capsys):
+        argv = ["--n-max", n_max, "--variant", "all"]
+        got = run_json(["solve", "--potential", expr, *argv], capsys)
+        want = run_json(["solve", "--potential", family, *argv], capsys)
+        pairs = [(got["ground_state"], want["ground_state"]), *zip(got["levels"], want["levels"])]
+        assert len(pairs) == 1 + 3 * int(n_max)
+        for a, b in pairs:
+            assert a["energy"] == pytest.approx(b["energy"], rel=1e-12)
+
+    def test_a_step_that_raises_falls_back_to_the_scans(self, capsys, monkeypatch):
+        # q = 10 lies at 7.854, just under U(+-4) = 8; the climb from q = 9 steps
+        # past U(+-4) and the scans from E_lo keep their failure message
+        calls = [0]
+        scan = numerics.solve_self_consistent
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(numerics, "solve_self_consistent", counted)
+        code, out, err = run(
+            ["solve", "--potential", "expr:0.5*x^2;domain=-4..4", "--n-max", "5", "--variant", "all"], capsys
+        )
+        assert (code, out, calls[0]) == (3, "", 2)
+        assert err == (
+            "turnpoint: convergence failure: no sign change of the residual on [1.5625e-09, 1.5624999999999998e+16]; "
+            "the first scan skipped 64 of its 65 energies: 64 for NoBoundRegion "
+            "(found 0 turning point(s) at E=24.414062501538083)\n"
+        )
+
+    def test_a_domain_end_is_still_not_a_turning_point(self, capsys):
+        code, out, _ = run(["solve", "--potential", "expr:0*x;domain=0..1", "--n-max", "1", "--variant", "general"], capsys)
+        assert (code, out) == (3, "")
 
 
 class TestWavefunction:

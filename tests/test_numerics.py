@@ -325,3 +325,28 @@ class TestSolveSelfConsistent:
         # E = 8 / E  =>  E = sqrt(8)
         root = numerics.solve_self_consistent(lambda E: E - 8.0 / E, 0.1, 100.0, Tolerances())
         assert root == pytest.approx(math.sqrt(8.0), rel=1e-10)
+
+
+class TestClimb:
+    def test_doubles_the_step_until_the_residual_turns(self):
+        # steps of 1, 2 and 4 from 0: g at 1, 3 and 7, the first >= 0 at 7
+        b = numerics._climb(lambda E: E - 5.0, 0.0, -5.0, 1.0)
+        assert (b.lo, b.hi, b.f_lo, b.f_hi) == (3.0, 7.0, -2.0, 2.0)
+
+    def test_a_point_that_raises_gives_no_bracket(self):
+        def g(E):
+            if E > 3.0:
+                raise NoBoundRegion("found 0 turning point(s)")
+            return E - 5.0
+
+        assert numerics._climb(g, 0.0, -5.0, 1.0) is None
+
+    def test_no_sign_change_in_60_steps_gives_no_bracket(self):
+        calls = []
+
+        def g(E):
+            calls.append(E)
+            return -1.0
+
+        assert numerics._climb(g, 0.0, -1.0, 1.0) is None
+        assert len(calls) == 60

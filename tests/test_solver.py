@@ -100,8 +100,9 @@ class TestStepHasNoLevels:
         [
             lambda spec: solver.ground_state_energy(spec, U),
             lambda spec: solver.excited_energy(spec, solver.LevelSpec(1, "general"), U),
+            lambda spec: solver._solve_spectrum(spec, [solver.LevelSpec(1)], U, numerics.Tolerances()),
         ],
-        ids=["ground", "excited"],
+        ids=["ground", "excited", "spectrum"],
     )
     def test_refused_before_any_scan(self, solve, monkeypatch):
         def fail(*args, **kwargs):
@@ -376,3 +377,54 @@ def test_each_level_stays_under_30_residual_calls(spec, monkeypatch):
         solver.excited_energy(spec, solver.LevelSpec(n, "general"), U)
     assert len(calls) == 4
     assert max(calls) <= 30
+
+
+_BUILT_IN = [
+    HarmonicOscillator(omega=1.0),
+    InfiniteSquareWell(L=1.0),
+    VWell(u0=1.0),
+    TrigWell(u0=1.0, a=1.0),
+    ParabolicWell(u0=1.0, a=1.0),
+    QuadraticInverse(a=1.0, b=1.0),
+]
+_QUADRATIC_EXPR = "expr:0.5*x^2;domain=-12..12"
+_ALL = [solver.LevelSpec(n, v) for n in (1, 2, 3) for v in solver.VARIANTS]
+
+
+def _counting(monkeypatch, module, attr):
+    calls = [0]
+    original = getattr(module, attr)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+class TestSpectrum:
+    """`_solve_spectrum`: one table and window, each q once, upward from below."""
+
+    @pytest.mark.parametrize("spec", _BUILT_IN + [parse_potential_spec(_QUADRATIC_EXPR)], ids=lambda s: s.kind)
+    def test_matches_one_level_solves(self, spec):
+        tol = numerics.Tolerances()
+        levels = [solver.LevelSpec(n, v) for n in range(1, 6) for v in solver.VARIANTS]
+        ground, solved = solver._solve_spectrum(spec, levels, U, tol)
+        assert ground == solver.ground_state_energy(spec, U, tol)
+        assert [lv.level for lv in solved] == levels
+        for lv in solved:
+            alone = solver.excited_energy(spec, lv.level, U, tol).energy
+            assert abs(lv.energy - alone) <= 2.0 * tol.energy_rel * (1.0 + abs(alone))
+
+    @pytest.mark.parametrize("spec, most", [(spec, 80) for spec in _BUILT_IN]
+                             + [(parse_potential_spec(_QUADRATIC_EXPR), 60)], ids=lambda s: getattr(s, "kind", s))
+    def test_turning_point_solves_per_request(self, spec, most, monkeypatch):
+        calls = _counting(monkeypatch, solver, "turning_points")
+        solver._solve_spectrum(spec, _ALL, U, numerics.Tolerances())
+        assert calls[0] <= most
+
+    def test_one_u_min_scan_per_request(self, monkeypatch):
+        calls = _counting(monkeypatch, potentials, "u_min")
+        solver._solve_spectrum(parse_potential_spec(_QUADRATIC_EXPR), _ALL, U, numerics.Tolerances())
+        assert calls[0] == 1
