@@ -7,7 +7,9 @@ k and k + 1; Brent's method then finds the zero of the mismatch of the shots
 from both walls, matched near the right turning point, which is smooth in E.
 A level takes about 11 passes of the recurrence (2 node counts and 9 mismatch
 evaluations of two halves each), where bisecting the count took about 33.
-Boxes repeat from level to level, so U is tabulated once per distinct box.
+Node counts run on psi and follow its sign; the mismatch shots run on y = c psi,
+one multiply and one subtract per point, with no sign to follow. Boxes repeat
+from level to level, so U is tabulated once per distinct box.
 """
 
 from __future__ import annotations
@@ -50,16 +52,14 @@ class ReferenceLevel:
 def _potential_on_grid(spec: PotentialSpec, grid: np.ndarray, units: UnitSystem) -> np.ndarray:
     """U on the grid; endpoints where U is undefined act as hard walls
     (psi = 0 there, so the value never enters the recurrence)."""
-    u = np.empty(len(grid))
-    for i, x in enumerate(grid):
+    evaluate, xs = potentials.evaluate, grid.tolist()
+    ends = []
+    for x in (xs[0], xs[-1]):
         try:
-            u[i] = potentials.evaluate(spec, float(x), units)
+            ends.append(evaluate(spec, x, units))
         except DomainError:
-            if i in (0, len(grid) - 1):
-                u[i] = 0.0  # wall point, psi pinned to zero
-            else:
-                raise
-    return u
+            ends.append(0.0)  # wall point, psi pinned to zero
+    return np.array([ends[0], *[evaluate(spec, x, units) for x in xs[1:-1]], ends[1]], dtype=float)
 
 
 def numerov_integrate(
@@ -126,13 +126,27 @@ def _nodes(u: np.ndarray, E: float, h: float, units: UnitSystem) -> int:
     return _sweep(*_coefficients(u, E, h, units))[0]
 
 
+def _shot(b: list[float]) -> tuple[float, float]:
+    """y[i+1] = b[i] y[i] - y[i-1] from y = 0, 1e-6 over b: its last two values,
+    up to a common positive factor."""
+    prev, cur = 0.0, 1e-6
+    for b_cur in b:
+        prev, cur = cur, b_cur * cur - prev
+        if cur > 1e100 or cur < -1e100:
+            prev, cur = prev / 1e100, cur / 1e100
+    return prev, cur
+
+
 def _mismatch(u: np.ndarray, E: float, h: float, units: UnitSystem, m: int, hk: float) -> float:
     """Wronskian of the shots from both walls at m, m + 1, as sin(theta_r - theta_l) of their
     angles theta = atan2(psi' / k, psi) at m + 1/2 (h k = hk): zero exactly at
-    the box's eigenvalues, and smooth in E."""
-    c, a = _coefficients(u, E, h, units)
-    _, l0, l1 = _sweep(c[:m + 2], a[:m + 2])
-    _, r1, r0 = _sweep(c[:m - 1:-1], a[:m - 1:-1])
+    the box's eigenvalues, and smooth in E. The shots run on y = c psi, with b = (12 - 10 c) / c;
+    psi = y / c keeps its sign, as c > 0 on c[1:] at every E tried (see `box`)."""
+    c = _stencil(u, E, h, units)
+    b = ((12.0 - 10.0 * c[1:-1]) / c[1:-1]).tolist()  # b[j] belongs to point j + 1
+    (l0, l1), (r1, r0) = _shot(b[:m]), _shot(b[:m - 1:-1])
+    c0, c1 = c[m:m + 2].tolist()
+    l0, l1, r0, r1 = l0 / c0, l1 / c1, r0 / c0, r1 / c1
     theta_l = math.atan2((l1 - l0) / hk, 0.5 * (l0 + l1))
     return math.sin(math.atan2((r1 - r0) / hk, 0.5 * (r0 + r1)) - theta_l)
 

@@ -31,6 +31,19 @@ _DEFAULT_WELLS = [
     QuadraticInverse(a=1.0, b=1.0),
 ]
 
+# the six families at random parameters; trig wells stay below the steep-wall
+# limit m u0 a^2 / hbar^2 < 6 pi^2, beyond which the oracle refuses them
+_FAMILIES = st.one_of(
+    st.builds(InfiniteSquareWell, L=st.floats(0.1, 10.0)),
+    st.builds(HarmonicOscillator, omega=st.floats(0.1, 10.0)),
+    st.floats(0.2, 5.0).flatmap(
+        lambda a: st.builds(TrigWell, u0=st.floats(0.1, 0.99 * 6.0 * math.pi ** 2 / (a * a)), a=st.just(a))
+    ),
+    st.builds(VWell, u0=st.floats(0.1, 10.0)),
+    st.builds(ParabolicWell, u0=st.floats(0.1, 10.0), a=st.floats(0.2, 5.0)),
+    st.builds(QuadraticInverse, a=st.floats(0.1, 10.0), b=st.floats(0.1, 10.0)),
+)
+
 
 class TestConfig:
     def test_defaults_valid(self):
@@ -113,14 +126,17 @@ class TestBoundStates:
         # every kernel run counts: node counts and both matching halves; node
         # count bisection from the floor took 166 here
         runs = 0
-        sweep = reference._sweep
 
-        def counted(*args):
-            nonlocal runs
-            runs += 1
-            return sweep(*args)
+        def counted(kernel):
+            def run(*args):
+                nonlocal runs
+                runs += 1
+                return kernel(*args)
 
-        monkeypatch.setattr(reference, "_sweep", counted)
+            return run
+
+        monkeypatch.setattr(reference, "_sweep", counted(reference._sweep))
+        monkeypatch.setattr(reference, "_shot", counted(reference._shot))
         reference.shoot_bound_states(InfiniteSquareWell(L=1.0), 5, units=U)
         assert runs == 97
 
@@ -129,14 +145,20 @@ class TestBoundStates:
         # a pass is a full wall-to-wall run of the recurrence: a node count,
         # or the two halves of one mismatch evaluation
         steps = 0
-        sweep = reference._sweep
+        sweep, shot = reference._sweep, reference._shot
 
-        def counted(c, a):
+        def counted_sweep(c, a):
             nonlocal steps
             steps += len(c) - 2
             return sweep(c, a)
 
-        monkeypatch.setattr(reference, "_sweep", counted)
+        def counted_shot(b):
+            nonlocal steps
+            steps += len(b)
+            return shot(b)
+
+        monkeypatch.setattr(reference, "_sweep", counted_sweep)
+        monkeypatch.setattr(reference, "_shot", counted_shot)
         full = reference.NumerovConfig().n_points - 2
         # levels come out in order and n_max only ends the loop, so level k
         # costs the difference between the first k + 1 and the first k
@@ -147,6 +169,12 @@ class TestBoundStates:
             assert steps % full == 0
             totals.append(steps // full)
         assert max(b - a for a, b in zip(totals, totals[1:])) <= 25
+
+    @settings(max_examples=30, deadline=None)
+    @given(_FAMILIES)
+    def test_three_levels_rise_above_the_floor(self, spec):
+        energies = [lv.energy for lv in reference.shoot_bound_states(spec, 3, units=U)]
+        assert potentials.u_min(spec) < energies[0] < energies[1] < energies[2]
 
     @pytest.mark.parametrize("spec", [InfiniteSquareWell(L=2.0), TrigWell(u0=1000.0, a=1.0)])
     def test_a_finite_domain_is_the_box(self, spec):
@@ -307,6 +335,50 @@ class TestMatchingRefinement:
         below = reference._mismatch(u, energy - 1e-3, h, units, m, hk)
         above = reference._mismatch(u, energy + 1e-3, h, units, m, hk)
         assert below * above < 0.0
+
+
+def _psi_mismatch(u, E, h, units, m, hk):
+    """The mismatch as the shots on psi itself computed it, before they ran on
+    y = c psi."""
+    c, a = reference._coefficients(u, E, h, units)
+
+    def shot(c, a):
+        prev, cur = 0.0, 1e-6
+        for c_prev, a_cur, c_next in zip(c, a[1:], c[2:]):
+            prev, cur = cur, (a_cur * cur - c_prev * prev) / c_next
+            if cur > 1e100 or cur < -1e100:
+                prev, cur = prev / 1e100, cur / 1e100
+        return prev, cur
+
+    l0, l1 = shot(c[:m + 2], a[:m + 2])
+    r1, r0 = shot(c[:m - 1:-1], a[:m - 1:-1])
+    theta_l = math.atan2((l1 - l0) / hk, 0.5 * (l0 + l1))
+    return math.sin(math.atan2((r1 - r0) / hk, 0.5 * (r0 + r1)) - theta_l)
+
+
+class TestMismatchOnY:
+    @pytest.mark.parametrize("spec", _DEFAULT_WELLS, ids=repr)
+    def test_agrees_with_the_shots_on_psi(self, spec, monkeypatch):
+        # each level's own box, matching point and hk, as the refinement used them
+        groups = {}
+        mismatch = reference._mismatch
+
+        def recorded(u, E, h, units, m, hk):
+            groups.setdefault((id(u), m, hk), ((u, h, m, hk), []))[1].append(E)
+            return mismatch(u, E, h, units, m, hk)
+
+        monkeypatch.setattr(reference, "_mismatch", recorded)
+        levels = reference.shoot_bound_states(spec, 4, units=U)
+        for lv in levels:
+            # the refinement began with f(lo) and f(hi), so the level lies
+            # within the energies its own setup was tried at
+            ((u, h, m, hk),) = [s for s, tried in groups.values() if min(tried) <= lv.energy <= max(tried)]
+            for f in (1.0, 1.0 - 1e-3, 1.0 + 1e-3, 1.0 - 1e-6, 1.0 + 1e-6):
+                E = lv.energy * f
+                old, new = _psi_mismatch(u, E, h, U, m, hk), mismatch(u, E, h, U, m, hk)
+                assert abs(new - old) <= 1e-9
+                if abs(old) > 1e-6:
+                    assert (new > 0.0) == (old > 0.0)
 
 
 # -- the float recurrence against the numpy loop it replaced -----------------
