@@ -16,6 +16,8 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable
 
+import numpy as np
+
 from . import expressions
 from .errors import DomainError, InvalidEnergy, InvalidInput, SpecParseError
 
@@ -92,6 +94,10 @@ class PotentialSpec:
         """Pointwise U(x). Raises DomainError outside the domain or at a pole."""
         raise NotImplementedError
 
+    def evaluate_grid(self, xs: np.ndarray, units: UnitSystem) -> np.ndarray:
+        """U at the points xs, none of them outside the domain or at a pole."""
+        return np.array([self.evaluate(x, units) for x in xs.tolist()], dtype=float)
+
     def domain(self) -> Domain:
         """The domain on which the potential may be evaluated."""
         return Domain(-math.inf, math.inf)
@@ -147,6 +153,9 @@ class InfiniteSquareWell(PotentialSpec):
             raise DomainError(f"x={x} outside the square well (0, {self.L})")
         return 0.0
 
+    def evaluate_grid(self, xs, units):
+        return np.zeros(len(xs))
+
     def domain(self):
         return Domain(0.0, self.L)
 
@@ -171,6 +180,9 @@ class HarmonicOscillator(PotentialSpec):
 
     def evaluate(self, x, units):
         return 0.5 * units.mass * self.omega ** 2 * x * x
+
+    def evaluate_grid(self, xs, units):
+        return 0.5 * units.mass * self.omega ** 2 * xs * xs
 
     def scale(self, units):
         return math.sqrt(units.hbar / (units.mass * self.omega))
@@ -202,6 +214,9 @@ class TrigWell(PotentialSpec):
         c = math.cos(math.pi * x / self.a)
         return self.u0 * (c / s) ** 2
 
+    def evaluate_grid(self, xs, units):
+        return self.u0 * (np.cos(np.pi * xs / self.a) / np.sin(np.pi * xs / self.a)) ** 2
+
     def domain(self):
         return Domain(0.0, self.a)
 
@@ -230,6 +245,9 @@ class VWell(PotentialSpec):
 
     def evaluate(self, x, units):
         return self.u0 * abs(x)
+
+    def evaluate_grid(self, xs, units):
+        return self.u0 * np.abs(xs)
 
     def scale(self, units):
         return (units.hbar * units.hbar / (units.mass * self.u0)) ** (1.0 / 3.0)
@@ -265,6 +283,9 @@ class ParabolicWell(PotentialSpec):
             raise DomainError(f"x={x} outside the parabolic well (x > 0)")
         return self.u0 * (self.a / x - x / self.a) ** 2
 
+    def evaluate_grid(self, xs, units):
+        return self.u0 * (self.a / xs - xs / self.a) ** 2
+
     def domain(self):
         return Domain(0.0, math.inf)
 
@@ -299,6 +320,9 @@ class QuadraticInverse(PotentialSpec):
         if x == 0.0:
             raise DomainError("pole at x=0")
         return self.a * x * x + self.b / (x * x)
+
+    def evaluate_grid(self, xs, units):
+        return self.a * xs * xs + self.b / (xs * xs)
 
     def u_min(self):
         return 2.0 * math.sqrt(self.a * self.b)

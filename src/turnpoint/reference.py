@@ -7,9 +7,9 @@ k and k + 1; Brent's method then finds the zero of the mismatch of the shots
 from both walls, matched near the right turning point, which is smooth in E.
 A level takes about 11 passes of the recurrence (2 node counts and 9 mismatch
 evaluations of two halves each), where bisecting the count took about 33.
-Node counts run on psi and follow its sign; the mismatch shots run on y = c psi,
-one multiply and one subtract per point, with no sign to follow. Boxes repeat
-from level to level, so U is tabulated once per distinct box.
+Node counts run on psi over the whole box and follow its sign; the mismatch
+shots run on y = c psi, one multiply and one subtract per point, and skip the
+tails where psi from the walls is below rounding. U is tabulated once per box.
 """
 
 from __future__ import annotations
@@ -22,6 +22,12 @@ import numpy as np
 from . import numerics, potentials
 from .errors import ConvergenceFailure, DomainError, InvalidInput
 from .potentials import PotentialSpec, UnitSystem
+
+
+# A matching shot starts where its action, the sum of h kappa = h sqrt(2 m (U - E)) / hbar, to
+# the matching point is this. Its (0, kick) start adds only the decaying solution, which shrinks
+# by e^(-50) ~ 2e-22 on the way, as Numerov's growth per step, acosh(b / 2), is at least h kappa.
+_SHOT_ACTION = 25.0
 
 
 @dataclass(frozen=True)
@@ -52,14 +58,14 @@ class ReferenceLevel:
 def _potential_on_grid(spec: PotentialSpec, grid: np.ndarray, units: UnitSystem) -> np.ndarray:
     """U on the grid; endpoints where U is undefined act as hard walls
     (psi = 0 there, so the value never enters the recurrence)."""
-    evaluate, xs = potentials.evaluate, grid.tolist()
-    ends = []
-    for x in (xs[0], xs[-1]):
+    u = np.empty(len(grid))
+    u[1:-1] = spec.evaluate_grid(grid[1:-1], units)
+    for i in (0, -1):
         try:
-            ends.append(evaluate(spec, x, units))
+            u[i] = potentials.evaluate(spec, float(grid[i]), units)
         except DomainError:
-            ends.append(0.0)  # wall point, psi pinned to zero
-    return np.array([ends[0], *[evaluate(spec, x, units) for x in xs[1:-1]], ends[1]], dtype=float)
+            u[i] = 0.0  # wall point, psi pinned to zero
+    return u
 
 
 def numerov_integrate(
@@ -165,10 +171,14 @@ def _build_grid(
     lo = max(tp.x1 - config.box_padding * tp.d, dom.lo)
     hi = min(tp.x2 + config.box_padding * tp.d, dom.hi)
     # inverse-square poles: clip where U is ~1e4 times the scan energy so the
-    # stencil stays stable (h^2 * g moderate); psi is pinned to zero there
+    # stencil stays stable (h^2 * g moderate); psi is pinned to zero there. Taken
+    # as c / x^2 = cap unless that is past the left turning point (parab, u0 >> cap)
     if spec.pole_coeff is not None:
         cap = 1e4 * max(E, 1.0)
-        lo = max(lo, math.sqrt(spec.pole_coeff / cap))
+        clip = math.sqrt(spec.pole_coeff / cap)
+        if not clip < tp.x1:
+            clip = potentials.analytic_turning_points(spec, cap, units)[-1].x1
+        lo = max(lo, clip)
     return np.linspace(lo, hi, config.n_points)
 
 
@@ -240,7 +250,12 @@ def shoot_bound_states(
             m = int(np.flatnonzero(u[1:-1] <= max(lo, u[1:-1].min()))[-1]) + 1
             m = min(max(m, 2), len(u) - 4)
             hk = h * math.sqrt(2.0 * units.mass * (hi - floor)) / units.hbar
-            f = lambda E: _mismatch(u, E, h, units, m, hk)
+            # shots start _SHOT_ACTION from m and m + 1 at E = hi, where kappa is smallest
+            action = np.cumsum(h * np.sqrt(np.maximum(2.0 * units.mass * (u - hi), 0.0)) / units.hbar)
+            start = max(int(np.searchsorted(action, action[m] - _SHOT_ACTION, "right")) - 1, 0)
+            stop = min(int(np.searchsorted(action, action[m] + _SHOT_ACTION)) + 2, len(u))
+            shots = u[start:stop]
+            f = lambda E: _mismatch(shots, E, h, units, m - start, hk)
             f_lo, f_hi = f(lo), f(hi)
             # no sign change (rounding): refine on the counts
             if not f_lo * f_hi < 0.0:

@@ -4,7 +4,10 @@ import math
 import pickle
 from dataclasses import fields
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from turnpoint import potentials
 from turnpoint.errors import DomainError, InvalidInput, SpecParseError
@@ -287,6 +290,34 @@ class TestFamilyHooks:
         assert poles == {"isw": None, "sho": None, "trig": None, "vwell": None, "parab": 0.2, "axb": 0.5}
         assert Step(u0=1.0).pole_coeff is None
         assert parse_potential_spec("expr:x^2;domain=-1..1").pole_coeff is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            st.builds(InfiniteSquareWell, L=st.floats(0.1, 10.0)),
+            st.builds(HarmonicOscillator, omega=st.floats(0.1, 10.0)),
+            st.builds(TrigWell, u0=st.floats(0.1, 10.0), a=st.floats(0.2, 5.0)),
+            st.builds(VWell, u0=st.floats(0.1, 10.0)),
+            st.builds(ParabolicWell, u0=st.floats(0.1, 10.0), a=st.floats(0.2, 5.0)),
+            st.builds(QuadraticInverse, a=st.floats(0.1, 10.0), b=st.floats(0.1, 10.0)),
+            st.floats(0.1, 10.0).map(lambda c: parse_potential_spec(f"expr:{c!r}*x^4-x;domain=-3..3")),
+        ),
+        st.builds(UnitSystem, hbar=st.floats(0.2, 5.0), mass=st.floats(0.2, 5.0)),
+        # no closer to an end than a fine grid's first point: nearer a pole,
+        # ** 2 on a Python float raises OverflowError where numpy gives inf
+        st.lists(st.floats(1e-6, 1.0, exclude_max=True), min_size=1, max_size=50),
+    )
+    def test_evaluate_grid_is_evaluate_at_each_point(self, spec, units, fractions):
+        lo, hi = spec.span()
+        xs = [x for x in sorted(lo + (hi - lo) * t for t in fractions) if spec.domain().contains(x) and x != 0.0]
+        assume(xs)
+        grid = spec.evaluate_grid(np.array(xs), units)
+        points = np.array([spec.evaluate(x, units) for x in xs])
+        assert grid.dtype == np.float64 and grid.shape == points.shape
+        # np.sin, np.cos and ** 2 may round differently from math; trig and
+        # parab are >= 0, so the distance of the bit patterns counts ulps
+        ulps = np.abs(grid.view(np.int64) - points.view(np.int64))
+        assert ulps.max() <= (4 if spec.kind in ("trig", "parab") else 0)
 
 
 class TestUnitSystem:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from turnpoint import potentials, reference
@@ -142,32 +142,31 @@ class TestBoundStates:
 
     @pytest.mark.parametrize("spec", _DEFAULT_WELLS, ids=repr)
     def test_at_most_25_passes_per_level(self, spec, monkeypatch):
-        # a pass is a full wall-to-wall run of the recurrence: a node count,
-        # or the two halves of one mismatch evaluation
-        steps = 0
+        # a pass is a node count or one mismatch evaluation, whose two shots
+        # count as one whole pass even where they start inside the box
+        sweeps = shots = 0
         sweep, shot = reference._sweep, reference._shot
 
         def counted_sweep(c, a):
-            nonlocal steps
-            steps += len(c) - 2
+            nonlocal sweeps
+            sweeps += 1
             return sweep(c, a)
 
         def counted_shot(b):
-            nonlocal steps
-            steps += len(b)
+            nonlocal shots
+            shots += 1
             return shot(b)
 
         monkeypatch.setattr(reference, "_sweep", counted_sweep)
         monkeypatch.setattr(reference, "_shot", counted_shot)
-        full = reference.NumerovConfig().n_points - 2
         # levels come out in order and n_max only ends the loop, so level k
         # costs the difference between the first k + 1 and the first k
         totals = [0]
         for n_max in range(1, 6):
-            steps = 0
+            sweeps = shots = 0
             reference.shoot_bound_states(spec, n_max, units=U)
-            assert steps % full == 0
-            totals.append(steps // full)
+            assert shots % 2 == 0
+            totals.append(sweeps + shots // 2)
         assert max(b - a for a, b in zip(totals, totals[1:])) <= 25
 
     @settings(max_examples=30, deadline=None)
@@ -213,6 +212,11 @@ _EXACT = [
     (TrigWell(u0=3.0, a=2.0), [_poschl_teller(3.0, 2.0, k) for k in range(4)]),
     (ParabolicWell(u0=1.0, a=1.0), [_radial_oscillator(1.0, 1.0, k) - 2.0 for k in range(4)]),
     (ParabolicWell(u0=2.0, a=0.5), [_radial_oscillator(8.0, 0.5, k) - 4.0 for k in range(4)]),
+    # strong poles: c / x^2 = 1e4 max(E, 1) lies right of the left turning
+    # point on the lower rungs, so the box starts where U itself reaches that
+    (ParabolicWell(u0=1e6, a=1.0), [_radial_oscillator(1e6, 1e6, k) - 2e6 for k in range(4)]),
+    (ParabolicWell(u0=1e8, a=1.0), [_radial_oscillator(1e8, 1e8, k) - 2e8 for k in range(4)]),
+    (ParabolicWell(u0=1e12, a=1.0), [_radial_oscillator(1e12, 1e12, k) - 2e12 for k in range(4)]),
     (QuadraticInverse(a=1.0, b=1.0), [_radial_oscillator(1.0, 1.0, k) for k in range(4)]),
     (QuadraticInverse(a=0.5, b=3.0), [_radial_oscillator(0.5, 3.0, k) for k in range(4)]),
     # levels below 1 share the pole clip, so boxes differ only at the right end
@@ -381,12 +385,44 @@ class TestMismatchOnY:
                     assert (new > 0.0) == (old > 0.0)
 
 
+class TestTrimmedShots:
+    @pytest.mark.parametrize(
+        "spec", _DEFAULT_WELLS + [HarmonicOscillator(omega=0.5), ParabolicWell(u0=0.05, a=1.0)], ids=repr
+    )
+    def test_agree_with_the_shots_from_the_walls(self, spec, monkeypatch):
+        # each level's own trimmed box, matching point and hk, as the refinement
+        # used them; the trimmed box is a view of the whole one
+        groups = {}
+        mismatch = reference._mismatch
+
+        def recorded(u, E, h, units, m, hk):
+            groups.setdefault((id(u), m, hk), ((u, h, m, hk), []))[1].append(E)
+            return mismatch(u, E, h, units, m, hk)
+
+        monkeypatch.setattr(reference, "_mismatch", recorded)
+        levels = reference.shoot_bound_states(spec, 4, units=U)
+        skipped = 0
+        for lv in levels:
+            ((u, h, m, hk),) = [s for s, tried in groups.values() if min(tried) <= lv.energy <= max(tried)]
+            whole = u.base
+            start = (u.__array_interface__["data"][0] - whole.__array_interface__["data"][0]) // u.itemsize
+            skipped += len(whole) - len(u)
+            for f in (1.0, 1.0 - 1e-3, 1.0 + 1e-3, 1.0 - 1e-6, 1.0 + 1e-6):
+                E = lv.energy * f
+                old, new = mismatch(whole, E, h, U, m + start, hk), mismatch(u, E, h, U, m, hk)
+                assert abs(new - old) <= 1e-10
+                if abs(old) > 1e-6:
+                    assert (new > 0.0) == (old > 0.0)
+        # the square and trig wells have no decaying tail to cut
+        assert (skipped > 0) == (spec.kind not in ("isw", "trig"))
+
+
 # -- the float recurrence against the numpy loop it replaced -----------------
 
 
 def _numpy_numerov(u, E, h, units):
     """The recurrence as numerov_integrate ran it on numpy scalars."""
-    g = (2.0 * units.mass / units.hbar ** 2) * (E - u)
+    g = (2.0 * units.mass / (units.hbar * units.hbar)) * (E - u)
     c = 1.0 + h * h * g / 12.0
     psi = np.zeros(len(u))
     psi[0] = 0.0
@@ -450,7 +486,7 @@ def tabulated(draw):
     h = draw(st.floats(1e-4, 1.0))
     units = draw(_UNITS)
     if draw(st.booleans()) and n > 2:  # U at one point where c == 0
-        u[draw(st.integers(0, n - 1))] = E + 12.0 / (h * h * 2.0 * units.mass / units.hbar ** 2)
+        u[draw(st.integers(0, n - 1))] = E + 12.0 / (h * h * 2.0 * units.mass / (units.hbar * units.hbar))
     return u, E, h, units
 
 
@@ -468,6 +504,8 @@ _WELLS = st.one_of(
 class TestFloatRecurrence:
     @settings(max_examples=200, deadline=None)
     @given(tabulated())
+    # hbar ** 2 != hbar * hbar here: the stencil squares hbar by multiplying
+    @example((np.array([0.0, 0.0, 1.0]), 0.0, 1.0, UnitSystem(hbar=0.5301425271088089)))
     def test_equals_numpy_loop_bit_for_bit(self, case):
         u, E, h, units = case
         with np.errstate(all="ignore"):
