@@ -1,15 +1,16 @@
 """Independent standard-QM oracle: Numerov shooting for bound states of the
 same wells, plus the textbook step-potential reflection coefficient.
 
-The sign changes of psi shot from the left wall count the box eigenvalues
-below E. Node counts isolate level k (0-based) in a bracket whose ends count
-k and k + 1; Brent's method then finds the zero of the mismatch of the shots
-from both walls, matched near the right turning point, which is smooth in E.
-A level takes about 11 passes of the recurrence (2 node counts and 9 mismatch
-evaluations of two halves each), where bisecting the count took about 33.
-Node counts run on psi over the whole box and follow its sign; the mismatch
-shots run on y = c psi, one multiply and one subtract per point, and skip the
-tails where psi from the walls is below rounding. U is tabulated once per box.
+Every pass shoots psi from both walls and matches the shots at an interior
+point: their sign changes plus the sign of their Wronskian count the box
+eigenvalues below E, and the Wronskian, normalized, is a mismatch that is zero
+at those eigenvalues and smooth in E. Counts over the whole box isolate level
+k (0-based) in a bracket whose ends count k and k + 1; Brent's method then
+finds the zero of the mismatch matched near the right turning point. A level
+takes about 11 passes (2 counts and 9 mismatch evaluations), where bisecting
+the count took about 33. The shots run on y = c psi, one multiply and one
+subtract per point, and Brent's skip the tails where psi from the walls is
+below rounding. U is tabulated once per box.
 """
 
 from __future__ import annotations
@@ -91,17 +92,13 @@ def _stencil(u: np.ndarray, E: float, h: float, units: UnitSystem) -> np.ndarray
     return 1.0 + h * h * ((2.0 * units.mass / (units.hbar * units.hbar)) * (E - u)) / 12.0
 
 
-def _coefficients(u: np.ndarray, E: float, h: float, units: UnitSystem) -> tuple[list, list[float]]:
-    """c and a = 12 - 10 c of psi[i+1] = (a[i] psi[i] - c[i-1] psi[i-1]) / c[i+1]."""
+def _recurrence(u: np.ndarray, E: float, h: float, units: UnitSystem) -> np.ndarray:
+    """psi of `numerov_integrate` on the tabulated potential u:
+    psi[i+1] = (a[i] psi[i] - c[i-1] psi[i-1]) / c[i+1] with a = 12 - 10 c."""
     c = _stencil(u, E, h, units)
     a = (12.0 - 10.0 * c).tolist()
     # numpy scalars keep numpy's inf/nan for a zero divisor, not ZeroDivisionError
-    return (c.tolist() if c.all() else list(c)), a
-
-
-def _recurrence(u: np.ndarray, E: float, h: float, units: UnitSystem) -> np.ndarray:
-    """psi of `numerov_integrate` on the tabulated potential u."""
-    c, a = _coefficients(u, E, h, units)
+    c = c.tolist() if c.all() else list(c)
     psi = np.zeros(len(u))
     psi[1] = 1e-6
     for i in range(1, len(u) - 1):
@@ -111,14 +108,14 @@ def _recurrence(u: np.ndarray, E: float, h: float, units: UnitSystem) -> np.ndar
     return psi
 
 
-def _sweep(c: list, a: list[float]) -> tuple[int, float, float]:
-    """psi[i+1] = (a[i] psi[i] - c[i-1] psi[i-1]) / c[i+1] from psi = 0, 1e-6 to the end: its sign
-    changes (zeros and NaN carry no sign; a value is counted before a rescale
-    divides it) and its last two values, up to a common positive factor."""
+def _shot(b: list[float]) -> tuple[int, float, float]:
+    """y[i+1] = b[i] y[i] - y[i-1] from y = 0, 1e-6 over b: its sign changes (zeros and NaN
+    carry no sign; a value is counted before a rescale divides it) and its last two values,
+    up to a common positive factor."""
     prev, cur = 0.0, 1e-6
     sign, nodes = 1.0, 0
-    for c_prev, a_cur, c_next in zip(c, a[1:], c[2:]):
-        prev, cur = cur, (a_cur * cur - c_prev * prev) / c_next
+    for b_cur in b:
+        prev, cur = cur, b_cur * cur - prev
         if cur * sign < 0.0:
             sign = -sign
             nodes += 1
@@ -127,34 +124,22 @@ def _sweep(c: list, a: list[float]) -> tuple[int, float, float]:
     return nodes, prev, cur
 
 
-def _nodes(u: np.ndarray, E: float, h: float, units: UnitSystem) -> int:
-    """Sign changes of psi, the right wall included (its flip marks the eigenvalue crossing)."""
-    return _sweep(*_coefficients(u, E, h, units))[0]
-
-
-def _shot(b: list[float]) -> tuple[float, float]:
-    """y[i+1] = b[i] y[i] - y[i-1] from y = 0, 1e-6 over b: its last two values,
-    up to a common positive factor."""
-    prev, cur = 0.0, 1e-6
-    for b_cur in b:
-        prev, cur = cur, b_cur * cur - prev
-        if cur > 1e100 or cur < -1e100:
-            prev, cur = prev / 1e100, cur / 1e100
-    return prev, cur
-
-
-def _mismatch(u: np.ndarray, E: float, h: float, units: UnitSystem, m: int, hk: float) -> float:
-    """Wronskian of the shots from both walls at m, m + 1, as sin(theta_r - theta_l) of their
-    angles theta = atan2(psi' / k, psi) at m + 1/2 (h k = hk): zero exactly at
-    the box's eigenvalues, and smooth in E. The shots run on y = c psi, with b = (12 - 10 c) / c;
-    psi = y / c keeps its sign, as c > 0 on c[1:] at every E tried (see `box`)."""
+def _match(u: np.ndarray, E: float, h: float, units: UnitSystem, m: int, hk: float) -> tuple[int, float]:
+    """The shots from both walls, matched at m and m + 1: the number of box eigenvalues below E,
+    and the mismatch sin(theta_r - theta_l) of their angles theta = atan2(psi' / k, psi) at
+    m + 1/2 (h k = hk), zero exactly at the box's eigenvalues and smooth in E. The count is the
+    shots' sign changes up to m + 1, plus 1 where W = l[m] r[m+1] - l[m+1] r[m] has the sign of
+    l[m+1] r[m+1] (the discrete Pruefer index, Pryce 1993). The shots run on y = c psi with
+    b = (12 - 10 c) / c; psi = y / c keeps its sign, as c > 0 on c[1:] at every E tried (see `box`)."""
     c = _stencil(u, E, h, units)
     b = ((12.0 - 10.0 * c[1:-1]) / c[1:-1]).tolist()  # b[j] belongs to point j + 1
-    (l0, l1), (r1, r0) = _shot(b[:m]), _shot(b[:m - 1:-1])
+    (nodes_l, l0, l1), (nodes_r, r2, r1) = _shot(b[:m]), _shot(b[:m:-1])
+    r0 = b[m] * r1 - r2  # the right shot's step to m, whose sign change is not counted
     c0, c1 = c[m:m + 2].tolist()
     l0, l1, r0, r1 = l0 / c0, l1 / c1, r0 / c0, r1 / c1
+    count = nodes_l + nodes_r + ((l0 * r1 - l1 * r0) * l1 * r1 > 0.0)
     theta_l = math.atan2((l1 - l0) / hk, 0.5 * (l0 + l1))
-    return math.sin(math.atan2((r1 - r0) / hk, 0.5 * (r0 + r1)) - theta_l)
+    return count, math.sin(math.atan2((r1 - r0) / hk, 0.5 * (r0 + r1)) - theta_l)
 
 
 def _build_grid(
@@ -214,14 +199,18 @@ def shoot_bound_states(
                 raise ConvergenceFailure(f"Numerov coefficient c = 1 + h^2 g / 12 is {c[i]} at x = {grid[i]}")
         return tables[key], grid[1] - grid[0]
 
+    def count(u: np.ndarray, E: float, h: float) -> int:
+        """Box eigenvalues below E, from both shots over the whole box (any m will do)."""
+        return _match(u, E, h, units, len(u) // 2, 1.0)[0]
+
     levels: list[ReferenceLevel] = []
     u, h = box(e_hi)
-    lo, n_lo, n_top = e_lo, 0, _nodes(u, e_hi, h, units)
+    lo, n_lo, n_top = e_lo, 0, count(u, e_hi, h)
     expansions = 0
     for k in range(n_max):
-        # climb the ladder until the box solution has more than k nodes; every
-        # rung below the previous level's stopping rung has at most k - 1
-        # nodes, so the climb resumes there
+        # climb the ladder until the box counts more than k levels; every
+        # rung below the previous level's stopping rung counts at most k - 1,
+        # so the climb resumes there
         last = u
         while n_top <= k:
             e_hi = floor + (e_hi - floor) * 2.0
@@ -229,16 +218,16 @@ def shoot_bound_states(
             if expansions > 60:
                 raise ConvergenceFailure(f"could not bracket reference level {k}")
             u, h = box(e_hi)
-            n_top = _nodes(u, e_hi, h, units)
-        # the last level's upper end starts this one if it counts k nodes, in
+            n_top = count(u, e_hi, h)
+        # the last level's upper end starts this one if it counts k levels, in
         # a new box too; else the floor does
-        if n_lo != k or (k > 0 and u is not last and _nodes(u, lo, h, units) != k):
+        if n_lo != k or (k > 0 and u is not last and count(u, lo, h) != k):
             lo, n_lo = e_lo, 0
-        # isolate: node counts narrow [lo, hi] until they read k and k + 1
+        # isolate: counts narrow [lo, hi] until they read k and k + 1
         hi, n_hi = e_hi, n_top
         while hi - lo > config.energy_tol * (1.0 + abs(lo)) and (n_lo, n_hi) != (k, k + 1):
             mid = 0.5 * (lo + hi)
-            n_mid = _nodes(u, mid, h, units)
+            n_mid = count(u, mid, h)
             if n_mid > k:
                 hi, n_hi = mid, n_mid
             else:
@@ -255,11 +244,11 @@ def shoot_bound_states(
             start = max(int(np.searchsorted(action, action[m] - _SHOT_ACTION, "right")) - 1, 0)
             stop = min(int(np.searchsorted(action, action[m] + _SHOT_ACTION)) + 2, len(u))
             shots = u[start:stop]
-            f = lambda E: _mismatch(shots, E, h, units, m - start, hk)
+            f = lambda E: _match(shots, E, h, units, m - start, hk)[1]
             f_lo, f_hi = f(lo), f(hi)
             # no sign change (rounding): refine on the counts
             if not f_lo * f_hi < 0.0:
-                f, f_lo, f_hi = (lambda E: _nodes(u, E, h, units) - k - 0.5), -0.5, 0.5
+                f, f_lo, f_hi = (lambda E: count(u, E, h) - k - 0.5), -0.5, 0.5
             energy = numerics.bisect(f, numerics.Bracket(lo, hi, f_lo, f_hi), tol)
         levels.append(ReferenceLevel(n_index=k, energy=energy, node_count=k))
         lo, n_lo = hi, n_hi

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from turnpoint import potentials
+from turnpoint import expressions, potentials
 from turnpoint.errors import DomainError, InvalidInput, SpecParseError
 from turnpoint.potentials import (
     Domain,
@@ -27,6 +27,33 @@ from turnpoint.potentials import (
 )
 
 U = UnitSystem()
+
+# expression sources from the grammar of `expressions`, numbers in repr form
+_SOURCES = st.recursive(
+    st.one_of(
+        st.floats(0.0, 1e3).map(repr),
+        st.sampled_from(["x", "1e-3", "2.5E2", *sorted(expressions.CONSTANTS)]),
+    ),
+    lambda kids: st.one_of(
+        st.builds("{}({})".format, st.sampled_from(sorted(expressions.FUNCTIONS)), kids),
+        st.builds("({}) {} ({})".format, kids, st.sampled_from(list("+-*/^")), kids),
+        kids.map("-{}".format),
+    ),
+    max_leaves=8,
+)
+_DOMAINS = st.one_of(
+    st.just((1.0 / 3.0, 2.0 / 3.0)),
+    st.builds(lambda p, q: (p / q, (p + 1) / q), st.integers(-30, 30), st.integers(1, 30)),
+    st.builds(lambda lo, width: (lo, lo + width), st.floats(-1e3, 1e3), st.floats(1e-3, 1e3)),
+)
+
+
+def _u_outcome(spec, x):
+    """U(x) as its bits, or the exception's type and message."""
+    try:
+        return potentials.evaluate(spec, x, U).hex()
+    except Exception as exc:  # noqa: BLE001
+        return type(exc), str(exc)
 
 
 class TestSpecParsing:
@@ -115,6 +142,17 @@ class TestSpecParsing:
     def test_spec_to_dict_expression(self):
         doc = spec_to_dict(parse_potential_spec("expr:x^2;domain=-1..1"))
         assert doc == {"kind": "expr", "source": "x^2", "domain": {"lo": -1.0, "hi": 1.0}}
+
+    @settings(max_examples=60, deadline=None)
+    @given(_SOURCES, _DOMAINS)
+    def test_expression_echo_parses_back_to_the_same_well(self, source, dom):
+        first = parse_potential_spec(f"expr: {source} ;domain={dom[0]!r}..{dom[1]!r}")
+        doc = spec_to_dict(first)
+        lo, hi = doc["domain"]["lo"], doc["domain"]["hi"]
+        echo = parse_potential_spec(f"expr:{doc['source']};domain={lo!r}..{hi!r}")
+        assert spec_to_dict(echo) == doc and (lo, hi) == dom
+        for x in np.linspace(lo, hi, 9).tolist():
+            assert _u_outcome(echo, x) == _u_outcome(first, x)
 
 
 class TestEvaluate:

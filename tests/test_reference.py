@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from turnpoint import potentials, reference
@@ -123,50 +123,41 @@ class TestBoundStates:
         assert 19.0 < levels[0].energy < levels[1].energy
 
     def test_each_level_resumes_the_ladder_of_the_last(self, monkeypatch):
-        # every kernel run counts: node counts and both matching halves; node
-        # count bisection from the floor took 166 here
+        # every shot counts, two a pass: 9 counts and 44 mismatch evaluations;
+        # node count bisection from the floor took 166 passes here
         runs = 0
+        shot = reference._shot
 
-        def counted(kernel):
-            def run(*args):
-                nonlocal runs
-                runs += 1
-                return kernel(*args)
+        def counted(b):
+            nonlocal runs
+            runs += 1
+            return shot(b)
 
-            return run
-
-        monkeypatch.setattr(reference, "_sweep", counted(reference._sweep))
-        monkeypatch.setattr(reference, "_shot", counted(reference._shot))
+        monkeypatch.setattr(reference, "_shot", counted)
         reference.shoot_bound_states(InfiniteSquareWell(L=1.0), 5, units=U)
-        assert runs == 97
+        assert runs == 106
 
     @pytest.mark.parametrize("spec", _DEFAULT_WELLS, ids=repr)
     def test_at_most_25_passes_per_level(self, spec, monkeypatch):
-        # a pass is a node count or one mismatch evaluation, whose two shots
-        # count as one whole pass even where they start inside the box
-        sweeps = shots = 0
-        sweep, shot = reference._sweep, reference._shot
+        # a pass is a count or one mismatch evaluation, whose two shots count
+        # as one whole pass even where they start inside the box
+        shots = 0
+        shot = reference._shot
 
-        def counted_sweep(c, a):
-            nonlocal sweeps
-            sweeps += 1
-            return sweep(c, a)
-
-        def counted_shot(b):
+        def counted(b):
             nonlocal shots
             shots += 1
             return shot(b)
 
-        monkeypatch.setattr(reference, "_sweep", counted_sweep)
-        monkeypatch.setattr(reference, "_shot", counted_shot)
+        monkeypatch.setattr(reference, "_shot", counted)
         # levels come out in order and n_max only ends the loop, so level k
         # costs the difference between the first k + 1 and the first k
         totals = [0]
         for n_max in range(1, 6):
-            sweeps = shots = 0
+            shots = 0
             reference.shoot_bound_states(spec, n_max, units=U)
             assert shots % 2 == 0
-            totals.append(sweeps + shots // 2)
+            totals.append(shots // 2)
         assert max(b - a for a, b in zip(totals, totals[1:])) <= 25
 
     @settings(max_examples=30, deadline=None)
@@ -282,7 +273,7 @@ def _bisected_levels(spec, n_max, config, units):
     u, h = box(e_hi)
 
     def nodes(E):
-        return reference._nodes(u, E, h, units)
+        return _stored_count(u, E, h, units)
 
     for k in range(n_max):
         while nodes(e_hi) <= k:
@@ -322,7 +313,8 @@ class TestMatchingRefinement:
 
     def test_counts_refine_where_the_mismatch_shows_no_sign_change(self, bisected, monkeypatch):
         spec, config = _BOXES[1]
-        monkeypatch.setattr(reference, "_mismatch", lambda *args: 1.0)
+        match = reference._match
+        monkeypatch.setattr(reference, "_match", lambda *args: (match(*args)[0], 1.0))
         levels = reference.shoot_bound_states(spec, 4, config, U)
         for lv, old in zip(levels, bisected[repr((spec, config))]):
             assert abs(lv.energy - old) <= 2.0 * config.energy_tol * (1.0 + abs(old))
@@ -335,16 +327,17 @@ class TestMatchingRefinement:
         u, h = reference._potential_on_grid(spec, grid, units), grid[1] - grid[0]
         energy = reference.shoot_bound_states(spec, 1, units=units)[0].energy
         hk = h * math.pi
-        assert abs(reference._mismatch(u, energy, h, units, m, hk)) < 1e-8
-        below = reference._mismatch(u, energy - 1e-3, h, units, m, hk)
-        above = reference._mismatch(u, energy + 1e-3, h, units, m, hk)
+        assert abs(reference._match(u, energy, h, units, m, hk)[1]) < 1e-8
+        below = reference._match(u, energy - 1e-3, h, units, m, hk)[1]
+        above = reference._match(u, energy + 1e-3, h, units, m, hk)[1]
         assert below * above < 0.0
 
 
 def _psi_mismatch(u, E, h, units, m, hk):
     """The mismatch as the shots on psi itself computed it, before they ran on
     y = c psi."""
-    c, a = reference._coefficients(u, E, h, units)
+    c = 1.0 + h * h * ((2.0 * units.mass / (units.hbar * units.hbar)) * (E - u)) / 12.0
+    c, a = c.tolist(), (12.0 - 10.0 * c).tolist()
 
     def shot(c, a):
         prev, cur = 0.0, 1e-6
@@ -365,13 +358,14 @@ class TestMismatchOnY:
     def test_agrees_with_the_shots_on_psi(self, spec, monkeypatch):
         # each level's own box, matching point and hk, as the refinement used them
         groups = {}
-        mismatch = reference._mismatch
+        match = reference._match
 
         def recorded(u, E, h, units, m, hk):
-            groups.setdefault((id(u), m, hk), ((u, h, m, hk), []))[1].append(E)
-            return mismatch(u, E, h, units, m, hk)
+            if u.base is not None:  # the refinement runs on a view of the box, counts on all of it
+                groups.setdefault((id(u), m, hk), ((u, h, m, hk), []))[1].append(E)
+            return match(u, E, h, units, m, hk)
 
-        monkeypatch.setattr(reference, "_mismatch", recorded)
+        monkeypatch.setattr(reference, "_match", recorded)
         levels = reference.shoot_bound_states(spec, 4, units=U)
         for lv in levels:
             # the refinement began with f(lo) and f(hi), so the level lies
@@ -379,7 +373,7 @@ class TestMismatchOnY:
             ((u, h, m, hk),) = [s for s, tried in groups.values() if min(tried) <= lv.energy <= max(tried)]
             for f in (1.0, 1.0 - 1e-3, 1.0 + 1e-3, 1.0 - 1e-6, 1.0 + 1e-6):
                 E = lv.energy * f
-                old, new = _psi_mismatch(u, E, h, U, m, hk), mismatch(u, E, h, U, m, hk)
+                old, new = _psi_mismatch(u, E, h, U, m, hk), match(u, E, h, U, m, hk)[1]
                 assert abs(new - old) <= 1e-9
                 if abs(old) > 1e-6:
                     assert (new > 0.0) == (old > 0.0)
@@ -393,13 +387,14 @@ class TestTrimmedShots:
         # each level's own trimmed box, matching point and hk, as the refinement
         # used them; the trimmed box is a view of the whole one
         groups = {}
-        mismatch = reference._mismatch
+        match = reference._match
 
         def recorded(u, E, h, units, m, hk):
-            groups.setdefault((id(u), m, hk), ((u, h, m, hk), []))[1].append(E)
-            return mismatch(u, E, h, units, m, hk)
+            if u.base is not None:  # the refinement runs on a view of the box, counts on all of it
+                groups.setdefault((id(u), m, hk), ((u, h, m, hk), []))[1].append(E)
+            return match(u, E, h, units, m, hk)
 
-        monkeypatch.setattr(reference, "_mismatch", recorded)
+        monkeypatch.setattr(reference, "_match", recorded)
         levels = reference.shoot_bound_states(spec, 4, units=U)
         skipped = 0
         for lv in levels:
@@ -409,7 +404,7 @@ class TestTrimmedShots:
             skipped += len(whole) - len(u)
             for f in (1.0, 1.0 - 1e-3, 1.0 + 1e-3, 1.0 - 1e-6, 1.0 + 1e-6):
                 E = lv.energy * f
-                old, new = mismatch(whole, E, h, U, m + start, hk), mismatch(u, E, h, U, m, hk)
+                old, new = match(whole, E, h, U, m + start, hk)[1], match(u, E, h, U, m, hk)[1]
                 assert abs(new - old) <= 1e-10
                 if abs(old) > 1e-6:
                     assert (new > 0.0) == (old > 0.0)
@@ -434,36 +429,23 @@ def _numpy_numerov(u, E, h, units):
     return psi
 
 
-def _psi_values(u, E, h, units):
-    """psi as the stored-psi pass computed it, and the prefix lengths it
-    rescaled; node counts were taken on these values before `_nodes`."""
+def _stored_count(u, E, h, units) -> int:
+    """Sign changes of psi shot from the left wall over the whole box, the
+    right wall included, counted on the stored values as node counts once
+    were: the number of box eigenvalues below E."""
     g = (2.0 * units.mass / (units.hbar * units.hbar)) * (E - u)
     c = 1.0 + h * h * g / 12.0
     a = (12.0 - 10.0 * c).tolist()
     c = c.tolist() if c.all() else list(c)
-    psi = [0.0, 1e-6]
-    rescaled = []
+    psi = [1e-6]
     prev, cur = 0.0, 1e-6
     for c_prev, a_cur, c_next in zip(c, a[1:], c[2:]):
         prev, cur = cur, (a_cur * cur - c_prev * prev) / c_next
         psi.append(cur)
         if cur > 1e100 or cur < -1e100:
             prev, cur = prev / 1e100, cur / 1e100
-            rescaled.append(len(psi))
-    return psi, rescaled
-
-
-def _count_nodes(psi: np.ndarray) -> int:
-    interior = psi[1:]
-    signs = np.sign(interior[np.abs(interior) > 0.0])
-    if len(signs) < 2:
-        return 0
+    signs = np.sign([x for x in psi if abs(x) > 0.0])
     return int(np.sum(signs[:-1] != signs[1:]))
-
-
-def _stored_count(u, E, h, units) -> int:
-    values, _ = _psi_values(u, E, h, units)
-    return _count_nodes(np.fromiter(values, dtype=float, count=len(values)))
 
 
 def _bits(a: np.ndarray) -> list[int]:
@@ -511,7 +493,6 @@ class TestFloatRecurrence:
         with np.errstate(all="ignore"):
             expected = _numpy_numerov(u, E, h, units)
             psi = reference._recurrence(u, E, h, units)
-            assert reference._nodes(u, E, h, units) == _stored_count(u, E, h, units)
         assert _bits(psi) == _bits(expected)
 
     @settings(max_examples=60, deadline=None)
@@ -525,21 +506,33 @@ class TestFloatRecurrence:
         with np.errstate(all="ignore"):
             expected = _numpy_numerov(u, E, h, units)
             psi = reference.numerov_integrate(spec, E, grid, units)
-            assert reference._nodes(u, E, h, units) == _stored_count(u, E, h, units)
         assert type(psi) is np.ndarray and psi.dtype == np.float64
         assert _bits(psi) == _bits(expected)
 
+    @settings(max_examples=60, deadline=None)
+    @given(_WELLS, st.floats(0.1, 30.0), st.floats(0.0, 1.0), st.integers(50, 150), _UNITS)
+    def test_match_counts_the_box_eigenvalues_below_E(self, spec, rung, f, half, units):
+        # a box of the ladder's rung floor + rung * scale, counted at E below it
+        # from every matching point the kernel allows
+        floor, scale = potentials.u_min(spec), spec.energy_scale(units)
+        config = reference.NumerovConfig(n_points=2 * half + 1)
+        grid = reference._build_grid(spec, floor + rung * scale, config, units)
+        u = reference._potential_on_grid(spec, grid, units)
+        h, E = grid[1] - grid[0], floor + f * rung * scale
+        assume(reference._stencil(u, E, h, units)[1:].min() > 0.0)
+        count = _stored_count(u, E, h, units)
+        assert [reference._match(u, E, h, units, m, 1.0)[0] for m in range(2, len(u) - 3)] == [count] * (len(u) - 5)
+
     @pytest.mark.parametrize(
-        "u, count",
+        "b, count",
         [
-            ([0.0, -1.2, 0.0, 12.0, 0.0, 0.0], 0),  # psi: 0, 1e-6, 0, 1.2e-6, ...
-            ([0.0, -6.0, 0.0, math.nan, 0.0, 0.0], 1),  # psi: 0, 1e-6, -8e-6, nan, ...
+            ([0.0], 0),  # y: 0, 1e-6, 0
+            ([-2.0, math.nan, 1.0], 1),  # y: 0, 1e-6, -2e-6, nan, nan
+            ([0.0, 5.0], 1),  # y: 0, 1e-6, 0, -1e-6, -5e-6
         ],
     )
-    def test_zeros_and_nan_carry_no_sign(self, u, count):
-        u = np.array(u)
-        with np.errstate(all="ignore"):
-            assert reference._nodes(u, 0.0, 1.0, U) == count == _stored_count(u, 0.0, 1.0, U)
+    def test_zeros_and_nan_carry_no_sign(self, b, count):
+        assert reference._shot(b)[0] == count
 
 
 class TestStandardStep:

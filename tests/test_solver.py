@@ -23,6 +23,16 @@ from turnpoint.potentials import (
 
 U = UnitSystem()
 
+_FAMILIES = st.one_of(
+    st.builds(InfiniteSquareWell, L=st.floats(0.1, 10.0)),
+    st.builds(HarmonicOscillator, omega=st.floats(0.1, 10.0)),
+    st.builds(TrigWell, u0=st.floats(0.1, 10.0), a=st.floats(0.2, 5.0)),
+    st.builds(VWell, u0=st.floats(0.1, 10.0)),
+    st.builds(ParabolicWell, u0=st.floats(0.1, 10.0), a=st.floats(0.2, 5.0)),
+    st.builds(QuadraticInverse, a=st.floats(0.1, 10.0), b=st.floats(0.1, 10.0)),
+)
+_UNITS = st.builds(UnitSystem, hbar=st.floats(0.2, 5.0), mass=st.floats(0.2, 5.0))
+
 
 class TestLevelSpec:
     @pytest.mark.parametrize(
@@ -172,6 +182,14 @@ class TestExcitedEnergies:
             lv = solver.excited_energy(QuadraticInverse(a=1.0, b=1.0), level, U)
             expected = 1.0 + math.sqrt(1.0 + level.q ** 2 * math.pi ** 2 / 2.0)
             assert lv.energy == pytest.approx(expected, rel=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_FAMILIES, _UNITS)
+    def test_levels_strictly_increase_in_n(self, spec, units):
+        # each level solved on its own, scanning up from the bottom of its window
+        for variant in solver.VARIANTS:
+            energies = [solver.excited_energy(spec, solver.LevelSpec(n, variant), units).energy for n in range(1, 5)]
+            assert all(a < b for a, b in zip(energies, energies[1:])), (variant, energies)
 
     def test_residual_is_quantization_defect(self):
         lv = solver.excited_energy(VWell(u0=1.0), solver.LevelSpec(2, "symmetric"), U)
