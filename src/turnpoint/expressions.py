@@ -24,6 +24,8 @@ from .errors import EvalError, ExpressionSyntaxError, UnknownIdentifier
 
 FUNCTIONS = frozenset({"sin", "cos", "tan", "cot", "sqrt", "exp", "ln", "abs"})
 CONSTANTS = {"pi": math.pi, "e": math.e}
+_MAX_DEPTH = 100  # parser recursion (parentheses, unary minus, ^) and AST height
+_TOO_DEEP = f"expression nested deeper than {_MAX_DEPTH} levels"
 
 
 @dataclass(frozen=True)
@@ -131,42 +133,45 @@ class _Parser:
             raise ExpressionSyntaxError(f"expected {what}", tok.offset)
         return self.advance()
 
-    def parse_expr(self) -> ExprAst:
-        node = self.parse_term()
+    # depth counts the parentheses, unary minuses and exponents around the input at hand
+    def parse_expr(self, depth: int) -> ExprAst:
+        node = self.parse_term(depth)
         while self.peek().kind == "op" and self.peek().text in "+-":
             op = self.advance().text
-            node = Binary(op, node, self.parse_term())
+            node = Binary(op, node, self.parse_term(depth))
         return node
 
-    def parse_term(self) -> ExprAst:
-        node = self.parse_unary()
+    def parse_term(self, depth: int) -> ExprAst:
+        node = self.parse_unary(depth)
         while self.peek().kind == "op" and self.peek().text in "*/":
             op = self.advance().text
-            node = Binary(op, node, self.parse_unary())
+            node = Binary(op, node, self.parse_unary(depth))
         return node
 
-    def parse_unary(self) -> ExprAst:
+    def parse_unary(self, depth: int) -> ExprAst:
+        if depth > _MAX_DEPTH:
+            raise ExpressionSyntaxError(_TOO_DEEP, self.peek().offset)
         if self.peek().kind == "op" and self.peek().text == "-":
             self.advance()
-            return Unary("neg", self.parse_unary())
-        return self.parse_power()
+            return Unary("neg", self.parse_unary(depth + 1))
+        return self.parse_power(depth)
 
-    def parse_power(self) -> ExprAst:
-        base = self.parse_atom()
+    def parse_power(self, depth: int) -> ExprAst:
+        base = self.parse_atom(depth)
         if self.peek().kind == "op" and self.peek().text == "^":
             self.advance()
             # right-associative; exponent may carry its own unary minus
-            return Binary("^", base, self.parse_unary())
+            return Binary("^", base, self.parse_unary(depth + 1))
         return base
 
-    def parse_atom(self) -> ExprAst:
+    def parse_atom(self, depth: int) -> ExprAst:
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
             return Number(float(tok.text))
         if tok.kind == "lparen":
             self.advance()
-            node = self.parse_expr()
+            node = self.parse_expr(depth + 1)
             self.expect("rparen", "')'")
             return node
         if tok.kind == "ident":
@@ -174,7 +179,7 @@ class _Parser:
             name = tok.text.lower()
             if name in FUNCTIONS:
                 self.expect("lparen", f"'(' after function {name}")
-                arg = self.parse_expr()
+                arg = self.parse_expr(depth + 1)
                 self.expect("rparen", "')'")
                 return Unary(name, arg)
             if name in CONSTANTS:
@@ -188,16 +193,24 @@ class _Parser:
 def parse(source: str) -> ExprAst:
     """Parse an expression in the variable x into an AST.
 
-    Raises ExpressionSyntaxError (with byte offset) on malformed input and
+    Raises ExpressionSyntaxError (with byte offset) on malformed input or
+    nesting past _MAX_DEPTH (chains of + or * are left-deep in the AST), and
     UnknownIdentifier for names outside the function/constant set.
     """
     if not source.strip():
         raise ExpressionSyntaxError("empty expression", 0)
     parser = _Parser(_tokenize(source))
-    node = parser.parse_expr()
+    node = parser.parse_expr(1)
     trailing = parser.peek()
     if trailing.kind != "end":
         raise ExpressionSyntaxError(f"unexpected trailing input {trailing.text!r}", trailing.offset)
+    nodes = [(node, 1)]  # the AST's height, walked without recursion
+    while nodes:
+        sub, height = nodes.pop()
+        if height > _MAX_DEPTH:
+            raise ExpressionSyntaxError(_TOO_DEEP, 0)
+        kids = (sub.left, sub.right) if isinstance(sub, Binary) else (sub.child,) if isinstance(sub, Unary) else ()
+        nodes += [(kid, height + 1) for kid in kids]
     return node
 
 

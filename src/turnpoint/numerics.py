@@ -7,11 +7,14 @@ residuals here have kinks (|x|) and poles (cot^2). Brent's interpolation
 steps converge superlinearly on smooth stretches, and its bisection steps
 keep the bracket and bound the work where interpolation fails.
 
-Brackets come from one sign-change rule, `sign_changes`, applied to a scan
-given as arrays of abscissae and values with NaN at the points that could
-not be evaluated. `bracket_roots` scans a callable with it, on a uniform or
-a geometric grid, and the solver applies it to E - U read from its table
-of U. `_climb` steps up from a known point below a level instead.
+Brackets of x come from one sign-change rule, `sign_changes`, applied to a
+scan given as arrays of abscissae and values with NaN at the points that
+could not be evaluated. `bracket_roots` scans a callable with it, on a
+uniform or a geometric grid, and the solver applies it to E - U read from
+its table of U. Brackets of an energy level come from the geometric scan
+of its window or from one upward search, `_climb`: steps that grow from a
+point below the level until the residual turns, and halve once they
+overshoot the points where it can be evaluated.
 
 Every integral (S, Q, the norm) is one globally adaptive Gauss-Kronrod 7-15
 rule, `integrate`: open nodes need no code for walls or endpoint
@@ -40,8 +43,6 @@ from .errors import (
 _EVAL_ERRORS = (TurnpointError, ArithmeticError, ValueError, OverflowError)
 
 _BISECT_MAX_ITER = 200
-_EXPAND_FACTOR = 10.0
-_MAX_EXPANSIONS = 12
 _LADDER_STEPS = 13
 _CLIMB_STEPS = 60
 
@@ -98,17 +99,12 @@ def bracket_roots(
         raise ValueError(f"bracket_roots requires lo < hi, got [{lo}, {hi}]")
     if n_grid < 2:
         raise ValueError("n_grid must be >= 2")
-    xs = _scan_points(lo, hi, n_grid, geometric)
     if not geometric:
+        xs = [lo + (hi - lo) * i / n_grid for i in range(n_grid + 1)]
         return sign_changes(xs, tabulate(f, xs))
+    xs = [lo] + [lo + (hi - lo) * 10.0 ** -j for j in range(n_grid - 1, -1, -1)]
     below = tabulate(f, xs[:-1])
     return sign_changes(xs[:-1], below) or sign_changes(xs[-2:], np.append(below[-1:], tabulate(f, xs[-1:])))
-
-
-def _scan_points(lo: float, hi: float, n_grid: int, geometric: bool = False) -> list[float]:
-    if geometric:
-        return [lo] + [lo + (hi - lo) * 10.0 ** -j for j in range(n_grid - 1, -1, -1)]
-    return [lo + (hi - lo) * i / n_grid for i in range(n_grid + 1)]
 
 
 def tabulate(f: Callable[[float], float], xs: Sequence[float]) -> np.ndarray:
@@ -278,77 +274,61 @@ def _kronrod(f: Callable[[float], float], a: float, b: float) -> tuple[float, fl
     return h * kronrod, (0.0 if err <= 50.0 * math.ulp(1.0) * h * absolute else err)
 
 
-def _skip_causes(g: Callable[[float], float], xs: Sequence[float]) -> str:
-    """Why g could not be evaluated at some of xs, for a failure message:
-    each error type in order of first appearance, with its count and the
-    message of its first occurrence. Runs only after a search has failed."""
-    causes: dict[str, list] = {}
-    for x in xs:
-        try:
-            g(x)
-        except _EVAL_ERRORS as exc:
-            causes.setdefault(type(exc).__name__, [0, str(exc)])[0] += 1
-    if not causes:
-        return ""
-    skipped = sum(count for count, _ in causes.values())
-    details = ", ".join(f"{count} for {name} ({first})" for name, (count, first) in causes.items())
-    return f"; the first scan skipped {skipped} of its {len(xs)} energies: {details}"
-
-
-def _scanned_bracket(g: Callable[[float], float], e_lo: float, e_hi: float, n_grid: int) -> Bracket:
-    """The lowest sign change of g on a uniform n_grid scan of [e_lo, hi],
-    with hi = e_hi first and then expanded geometrically upward
-    (hi <- 10 * hi) at most 12 times before ConvergenceFailure. Its message
-    names the errors that made points of the first scan unusable (found by
-    scanning it again, so a success pays nothing)."""
-    hi = e_hi
-    for _ in range(_MAX_EXPANSIONS + 1):
-        brackets = bracket_roots(g, e_lo, hi, n_grid)
-        if brackets:
-            return brackets[0]
-        hi *= _EXPAND_FACTOR
-    raise ConvergenceFailure(
-        f"no sign change of the residual on [{e_lo}, {hi}]"
-        + _skip_causes(g, _scan_points(e_lo, e_hi, n_grid))
-    )
-
-
 def solve_self_consistent(
-    g: Callable[[float], float],
-    e_lo: float,
-    e_hi: float,
-    tol: Tolerances | None = None,
-    n_grid: int = 64,
+    g: Callable[[float], float], e_lo: float, e_hi: float, tol: Tolerances | None = None
 ) -> float:
     """Root E* of the residual g on [e_lo, e_hi] with |g(E*)| <= energy_rel * (1 + E*).
 
-    Levels sit near the low end of the window, so the bracket comes from a
-    14-point geometric scan up from e_lo (`bracket_roots` with
-    geometric=True), its lowest sign change; only when it sees none does
-    the uniform scan of `_scanned_bracket` run, with its upward expansion
-    and its failure message. `_refine` then refines the root inside the
-    bracket. The root is the lowest sign change only at the resolution of
-    the scan that found it: a bracket of the geometric scan may span up to
-    nine tenths of the window.
+    Levels sit near the low end of the window, so the bracket is the lowest
+    sign change of a 14-point geometric scan up from e_lo (`bracket_roots`
+    with geometric=True), or when it sees none, of a tenfold `_climb` from
+    e_lo that starts with the scan's first gap. `_refine` then refines the
+    root inside it. The root is the lowest sign change only at the
+    resolution of that search: a bracket of the scan may span up to nine
+    tenths of the window.
     """
     tol = tol or Tolerances()
     brackets = bracket_roots(g, e_lo, e_hi, _LADDER_STEPS, geometric=True)
-    return _refine(g, brackets[0] if brackets else _scanned_bracket(g, e_lo, e_hi, n_grid), tol)
+    first_gap = (e_hi - e_lo) * 10.0 ** (1 - _LADDER_STEPS)
+    return _refine(g, brackets[0] if brackets else _climb(g, e_lo, math.nan, first_gap, 10.0), tol)
 
 
-def _climb(g: Callable[[float], float], lo: float, f_lo: float, step: float) -> Bracket | None:
-    """The first sign change of g above lo, where g(lo) = f_lo < 0: g at
-    lo + step, then at steps that double, until g >= 0. None when a point
-    raises or 60 steps show no sign change."""
-    try:
-        for _ in range(_CLIMB_STEPS):
-            f_hi = g(lo + step)
-            if f_hi >= 0.0:  # Bracket refuses a non-finite or unordered pair
-                return Bracket(lo, lo + step, f_lo, f_hi)
-            lo, f_lo, step = lo + step, f_hi, 2.0 * step
-    except _EVAL_ERRORS:
-        pass
-    return None
+def _climb(g: Callable[[float], float], lo: float, f_lo: float, step: float, growth: float) -> Bracket:
+    """The first sign change of g above lo, where g(lo) = f_lo < 0 or is NaN
+    (not known): g at lo + step, then while g < 0 at the next step, growth
+    times longer, from there. A point where g raises or is not finite is
+    stepped over while no finite g is known (the bottom of a well too narrow
+    to resolve). Above a finite g < 0 it stops the climb (the climb overshot
+    the rim), as does a first finite g >= 0 (the level may sit just above
+    the bottom): from then on each step is half the last, so the points
+    close in on the stop. ConvergenceFailure after 60 points; its message
+    counts the skipped points by cause.
+    """
+    start, top, stopped, causes = lo, lo, False, {}
+    for tried in range(1, _CLIMB_STEPS + 1):
+        x = lo + step
+        top = max(top, x)
+        try:
+            f = g(x)
+            if not math.isfinite(f):
+                raise ArithmeticError(f"residual {f}")
+        except _EVAL_ERRORS as exc:
+            causes.setdefault(type(exc).__name__, [0, str(exc)])[0] += 1
+            if math.isfinite(f_lo):
+                stopped = True
+            else:
+                lo = x
+        else:
+            if f < 0.0:
+                lo, f_lo = x, f
+            elif f_lo < 0.0:  # False for NaN
+                return Bracket(lo, x, f_lo, f)
+            else:
+                stopped = True
+        step *= 0.5 if stopped else growth
+    details = ", ".join(f"{count} for {name} ({first})" for name, (count, first) in causes.items())
+    skipped = f"; the climb skipped {sum(c for c, _ in causes.values())} of its {tried} energies: {details}"
+    raise ConvergenceFailure(f"no sign change of the residual on [{start}, {top}]" + (skipped if causes else ""))
 
 
 def _refine(g: Callable[[float], float], bracket: Bracket, tol: Tolerances) -> float:

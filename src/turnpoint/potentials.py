@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import expressions
+from . import expressions, numerics
 from .errors import DomainError, InvalidEnergy, InvalidInput, SpecParseError
 
 
@@ -396,7 +396,7 @@ class Expression(PotentialSpec):
             x = lo + (hi - lo) * i / n
             try:
                 best = min(best, self.compiled(x))
-            except Exception:
+            except numerics._EVAL_ERRORS:
                 continue
         if not math.isfinite(best):
             raise DomainError("expression potential not evaluable anywhere on its domain")

@@ -8,10 +8,11 @@ odd n, sine for even n), with K = m1*sqrt(E) and d the turning-point width
 evaluated at the same energy. Widths depend on the unknown energy, so every
 level is a root of a scalar residual, refined by Brent's method rather than
 by fixed-point iteration (the right-hand sides need not contract). A level
-solve brackets it by a geometric energy search up from the bottom of the
-window (`numerics.solve_self_consistent`). A spectrum solve
-(`_solve_spectrum`) does so for the lowest level only, and brackets each
-level above it upward from the level below, by steps of the last gap.
+solve brackets it by a geometric energy scan up from the bottom of the
+window, or by a tenfold climb from there (`numerics.solve_self_consistent`).
+A spectrum solve (`_solve_spectrum`) does so for the lowest level only, and
+climbs to each level above it from the level below, by doubling steps of
+the last gap (`numerics._climb`).
 
 Wells without closed-form turning points (expressions, the step) find them
 from sign changes of E - U(x) on a grid. U does not depend on E, so a
@@ -31,6 +32,7 @@ import numpy as np
 from . import numerics, potentials
 from .errors import (
     AmbiguousWells,
+    ConvergenceFailure,
     DegenerateNorm,
     InvalidEnergy,
     InvalidLevel,
@@ -160,7 +162,8 @@ def turning_points(
     bracketed roots of f(x) = E - U(x), refined by `numerics.bisect`.
 
     The brackets come from sign changes of E - U on grids of 257, 513, ...
-    up to 4097 points, the next one scanned only when the last showed none.
+    up to 4097 points, the next one scanned only when the last showed fewer
+    than two (a turning point next to an open domain end may need a fine one).
     U on those grids is read from `_table`, which a level solve shares
     across all its energies; without one, a table for this call alone is
     used. For a well mirrored about a pole (`axb`) the positive-side pair is
@@ -176,10 +179,9 @@ def turning_points(
     def f(x: float) -> float:
         return E - potentials.evaluate(spec, x, units)
 
-    brackets: list[numerics.Bracket] = []
     for n_grid in _SCAN_GRIDS:
         brackets = table.brackets(E, n_grid)
-        if brackets:
+        if len(brackets) >= 2:
             break
     if len(brackets) < 2:
         raise NoBoundRegion(f"found {len(brackets)} turning point(s) at E={E}")
@@ -259,7 +261,7 @@ def excited_energy(
 ) -> EnergyLevel:
     """Self-consistent solve of K(E) * d(E) = q * pi for the given branch;
     with `_below` = (E', residual at E', step) for a level E' below it,
-    bracketed upward from E' first (`numerics._climb`)."""
+    bracketed upward from E' first (`numerics._climb`), else from e_lo."""
     units = units or UnitSystem()
     tol = tol or Tolerances()
     shared = _shared or _Shared(spec, units, tol)
@@ -272,7 +274,10 @@ def excited_energy(
             return -target
         return m1 * math.sqrt(E) * d - target
 
-    bracket = _below and numerics._climb(residual, *_below)  # None: scan up from e_lo
+    try:
+        bracket = _below and numerics._climb(residual, *_below, 2.0)
+    except ConvergenceFailure:
+        bracket = None
     if bracket:
         energy = numerics._refine(residual, bracket, tol)
     else:

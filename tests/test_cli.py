@@ -1,5 +1,8 @@
 """Command-line interface: subcommands, config layering, exit codes, output."""
 
+import contextlib
+import functools
+import io
 import json
 import math
 import os
@@ -120,26 +123,26 @@ class TestSolve:
         for a, b in pairs:
             assert a["energy"] == pytest.approx(b["energy"], rel=1e-12)
 
-    def test_a_step_that_raises_falls_back_to_the_scans(self, capsys, monkeypatch):
+    def test_a_step_that_raises_caps_the_climb(self, capsys, monkeypatch):
         # q = 10 lies at 7.854, just under U(+-4) = 8; the climb from q = 9 steps
-        # past U(+-4) and the scans from E_lo keep their failure message
+        # past U(+-4), where the energy has no turning points, and halves its
+        # steps back toward that cap until they bracket the level
         calls = [0]
-        scan = numerics.solve_self_consistent
+        search = numerics.solve_self_consistent
 
         def counted(*args, **kwargs):
             calls[0] += 1
-            return scan(*args, **kwargs)
+            return search(*args, **kwargs)
 
         monkeypatch.setattr(numerics, "solve_self_consistent", counted)
-        code, out, err = run(
-            ["solve", "--potential", "expr:0.5*x^2;domain=-4..4", "--n-max", "5", "--variant", "all"], capsys
-        )
-        assert (code, out, calls[0]) == (3, "", 2)
-        assert err == (
-            "turnpoint: convergence failure: no sign change of the residual on [1.5625e-09, 1.5624999999999998e+16]; "
-            "the first scan skipped 64 of its 65 energies: 64 for NoBoundRegion "
-            "(found 0 turning point(s) at E=24.414062501538083)\n"
-        )
+        argv = ["--n-max", "5", "--variant", "all"]
+        got = run_json(["solve", "--potential", "expr:0.5*x^2;domain=-4..4", *argv], capsys)
+        assert calls[0] == 1  # the ground level only: no level fell back to the search from E_lo
+        want = run_json(["solve", "--potential", "sho:omega=1", *argv], capsys)
+        top = [(a, b) for a, b in zip(got["levels"], want["levels"]) if a["variant"] == "antisymmetric" and a["n"] == 5]
+        assert len(top) == 1 and top[0][0]["energy"] == pytest.approx(7.853981634, rel=1e-10)
+        for a, b in zip(got["levels"], want["levels"]):
+            assert a["energy"] == pytest.approx(b["energy"], rel=1e-10)
 
     def test_a_domain_end_is_still_not_a_turning_point(self, capsys):
         code, out, _ = run(["solve", "--potential", "expr:0*x;domain=0..1", "--n-max", "1", "--variant", "general"], capsys)
@@ -310,6 +313,59 @@ class TestScatterProperties:
             assert abs(Fraction(record["T0"]) + Fraction(record["R"]) - 1) <= Fraction(math.ulp(1.0)) / 2
 
 
+# expression wells and their built-in twins: (source, family, U floor, domain
+# whose rim U(ends) is u); the axb twin keeps its pole at the domain's left end
+_TWINS = [
+    ("abs(x)", "vwell:u0=1", 0.0, lambda u: (-u, u)),
+    ("0.5*x^2", "sho:omega=1", 0.0, lambda u: (-math.sqrt(2.0 * u), math.sqrt(2.0 * u))),
+    ("1/x^2+x^2", "axb:a=1,b=1", 2.0, lambda u: (0.0, math.sqrt(0.5 * (u + math.sqrt(u * u - 4.0))))),
+]
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@functools.cache
+def _family_doc(family, *argv):
+    code, out, err = _run_quietly(["solve", "--potential", family, *argv])
+    assert code == 0, err
+    return json.loads(out)
+
+
+class TestExpressionTwins:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(_TWINS),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=1, max_value=5),
+        st.sampled_from(["general", "symmetric", "antisymmetric", "all"]),
+    )
+    def test_levels_match_the_family_or_sit_at_the_domain_ends(self, twin, t, n_max, variant):
+        # the rim U(ends) lands anywhere from half the ground energy to 1.5 times
+        # level 5 of the antisymmetric branch (q = 10), measured from the floor
+        source, family, floor, domain = twin
+        argv = ["--n-max", str(n_max), "--variant", variant]
+        ladder = _family_doc(family, "--n-max", "5", "--variant", "antisymmetric")
+        low = 0.5 * (ladder["ground_state"]["energy"] - floor)
+        high = 1.5 * (ladder["levels"][-1]["energy"] - floor)
+        lo, hi = domain(floor + low * (high / low) ** t)
+        code, out, err = _run_quietly(["solve", "--potential", f"expr:{source};domain={lo!r}..{hi!r}", *argv])
+        want = _family_doc(family, *argv)
+        wanted = [want["ground_state"], *want["levels"]]
+        if code == 3:  # only where a wanted level's turning points reach the domain's ends
+            margin = (hi - lo) / 1000.0
+            assert any(w["x0"] - w["d"] / 2 - lo < margin or hi - w["x0"] - w["d"] / 2 < margin for w in wanted), err
+            return
+        assert code == 0, err
+        got = json.loads(out)
+        for a, b in zip([got["ground_state"], *got["levels"]], wanted, strict=True):
+            assert a["energy"] == pytest.approx(b["energy"], rel=1e-10)
+
+
 class TestCompare:
     def test_isw_rows_and_ratio(self, capsys):
         code, out, err = run(
@@ -420,6 +476,13 @@ class TestExitCodes:
         code, _, _ = run(["solve", "--potential", "expr:2x;domain=-1..1"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("source", ["(" * 200 + "x" + ")" * 200, "-" * 600 + "x", "x" + "+x" * 5000])
+    def test_deeply_nested_expression_is_2(self, source, capsys):
+        code, out, err = run(["solve", "--potential", f"expr:{source};domain=-1..1"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("turnpoint: parse error: expression nested deeper than 100 levels")
+        assert err.count("\n") == 1
+
     def test_step_bound_states_is_4(self, capsys):
         code, _, err = run(["solve", "--potential", "step:u0=1"], capsys)
         assert code == 4
@@ -452,12 +515,13 @@ class TestExitCodes:
         assert code == 3
 
     def test_ambiguous_double_well_names_its_cause(self, capsys):
-        # below the barrier U(0) = 1 there are four turning points, above
-        # U(+-3) = 64 none, so the residual never changes sign
+        # below the barrier U(0) = 1 there are four turning points, and above
+        # it the residual is already positive: the climb closes in on E = 1
+        # from above and finds no sign change
         code, out, err = run(["solve", "--potential", "expr:(x^2-1)^2;domain=-3..3"], capsys)
         assert (code, out) == (3, "")
         assert err.startswith("turnpoint: convergence failure: no sign change of the residual")
-        assert "1 for AmbiguousWells (found 4 turning points at E=6.07997" in err
+        assert "41 for AmbiguousWells (found 4 turning points at E=6.08025" in err
         assert err.count("\n") == 1
 
     def test_negative_u_under_the_root_is_4(self, capsys):

@@ -84,6 +84,26 @@ class TestParsing:
         with pytest.raises(UnknownIdentifier):
             expressions.parse("y+1")
 
+    @pytest.mark.parametrize("source, offset", [
+        ("(" * 200 + "x" + ")" * 200, 100),  # parser recursion
+        ("-" * 600 + "x", 100),
+        ("2^" * 150 + "x", 200),
+        ("x" + "+x" * 5000, 0),  # a left-deep AST, parsed without recursion
+        ("x" + "*x" * 100, 0),
+    ])
+    def test_nesting_past_the_bound_is_a_syntax_error(self, source, offset):
+        with pytest.raises(ExpressionSyntaxError, match=r"^expression nested deeper than 100 levels") as info:
+            expressions.parse(source)
+        assert info.value.offset == offset
+
+    @pytest.mark.parametrize("source, value", [
+        ("(" * 99 + "x" + ")" * 99, 2.0),
+        ("-" * 99 + "x", -2.0),
+        ("x" + "+x" * 99, 200.0),
+    ])
+    def test_nesting_at_the_bound_parses_and_evaluates(self, source, value):
+        assert ev(source, 2.0) == value
+
 
 class TestEvaluation:
     def test_sho_expression(self):

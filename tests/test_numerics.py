@@ -264,38 +264,48 @@ class TestSolveSelfConsistent:
             numerics.solve_self_consistent(lambda E: 1.0 + E * E, 0.1, 1.0, Tolerances())
 
     def test_failure_names_why_points_were_skipped(self):
+        # the climb steps over the bottom, caps at 4.44 and closes in on 2
         def g(E):
-            if E < 0.5:
+            if E < 0.3:
                 raise AmbiguousWells(f"found 4 turning points at E={E}")
-            if E > 2.0:
+            if E >= 2.0:
                 raise NoBoundRegion("found 0 turning point(s)")
-            return 1.0
+            return -1.0
 
         with pytest.raises(ConvergenceFailure) as info:
-            numerics.solve_self_consistent(g, 0.0, 4.0, Tolerances(), n_grid=8)
+            numerics.solve_self_consistent(g, 0.0, 4.0, Tolerances())
         assert str(info.value) == (
-            "no sign change of the residual on [0.0, 40000000000000.0]; the first scan skipped "
-            "5 of its 9 energies: 1 for AmbiguousWells (found 4 turning points at E=0.0), "
-            "4 for NoBoundRegion (found 0 turning point(s))"
+            "no sign change of the residual on [0.0, 4.444444444443999]; the climb skipped "
+            "36 of its 60 energies: 11 for AmbiguousWells (found 4 turning points at E=4e-12), "
+            "25 for NoBoundRegion (found 0 turning point(s))"
         )
 
     def test_failure_without_skipped_points_keeps_its_message(self):
+        # g > 0 everywhere: the climb closes in on its start from above
         with pytest.raises(ConvergenceFailure) as info:
             numerics.solve_self_consistent(lambda E: 1.0 + E * E, 0.1, 1.0, Tolerances())
-        assert str(info.value) == "no sign change of the residual on [0.1, 10000000000000.0]"
+        assert str(info.value) == "no sign change of the residual on [0.1, 0.10000000000090001]"
 
-    def test_success_does_not_look_for_skip_causes(self, monkeypatch):
-        def fail(*args):
-            raise AssertionError("_skip_causes ran on a successful solve")
-
-        monkeypatch.setattr(numerics, "_skip_causes", fail)
+    def test_a_ladder_success_evaluates_g_14_times(self, monkeypatch):
+        # the 14 points of the geometric scan bracket the root; nothing else
+        # is evaluated before the refinement
+        calls = []
 
         def g(E):
+            calls.append(E)
             if E < 1.0:
                 raise AmbiguousWells("below the barrier")
             return E - 3.0
 
-        assert numerics.solve_self_consistent(g, 0.1, 10.0, Tolerances()) == pytest.approx(3.0)
+        monkeypatch.setattr(numerics, "_refine", lambda g, bracket, tol: bracket)
+        bracket = numerics.solve_self_consistent(g, 0.1, 10.0, Tolerances())
+        assert (bracket.lo, bracket.hi, len(calls)) == (pytest.approx(1.09), 10.0, 14)
+
+    def test_a_negative_window_climbs_past_zero(self):
+        # the ladder on [-5, -4.9] sees g < 0 only; the climb steps by offsets
+        # from -5, so it rises through E = 0 to the root at 2
+        root = numerics.solve_self_consistent(lambda E: E - 2.0, -5.0, -4.9, Tolerances())
+        assert root == pytest.approx(2.0, rel=1e-10)
 
     @pytest.mark.parametrize("g", [
         # one sign change at 2 and a double root at 7, in the same bracket
@@ -330,16 +340,24 @@ class TestSolveSelfConsistent:
 class TestClimb:
     def test_doubles_the_step_until_the_residual_turns(self):
         # steps of 1, 2 and 4 from 0: g at 1, 3 and 7, the first >= 0 at 7
-        b = numerics._climb(lambda E: E - 5.0, 0.0, -5.0, 1.0)
+        b = numerics._climb(lambda E: E - 5.0, 0.0, -5.0, 1.0, 2.0)
         assert (b.lo, b.hi, b.f_lo, b.f_hi) == (3.0, 7.0, -2.0, 2.0)
 
     def test_a_point_that_raises_gives_no_bracket(self):
+        # g raises above 3, below its root at 5: 7 caps the climb, which then
+        # halves its steps toward the cap and never passes it
+        calls = []
+
         def g(E):
+            calls.append(E)
             if E > 3.0:
                 raise NoBoundRegion("found 0 turning point(s)")
             return E - 5.0
 
-        assert numerics._climb(g, 0.0, -5.0, 1.0) is None
+        with pytest.raises(ConvergenceFailure, match="skipped 54 of its 60 energies: 54 for NoBoundRegion"):
+            numerics._climb(g, 0.0, -5.0, 1.0, 2.0)
+        assert calls[:7] == [1.0, 3.0, 7.0, 5.0, 4.0, 3.5, 3.25]
+        assert max(calls[3:]) < 7.0
 
     def test_no_sign_change_in_60_steps_gives_no_bracket(self):
         calls = []
@@ -348,5 +366,43 @@ class TestClimb:
             calls.append(E)
             return -1.0
 
-        assert numerics._climb(g, 0.0, -1.0, 1.0) is None
+        with pytest.raises(ConvergenceFailure, match=r"^no sign change of the residual on \[0.0, "):
+            numerics._climb(g, 0.0, -1.0, 1.0, 2.0)
         assert len(calls) == 60
+
+    @pytest.mark.parametrize("bad", [-math.inf, math.nan, "raise"])
+    def test_steps_over_an_unevaluable_bottom(self, bad):
+        # nothing finite below 0.5: the tenfold steps go on over it (0.01,
+        # 0.11) and climb on from the first finite g < 0 (1.11)
+        def g(E):
+            if E < 0.5:
+                if bad == "raise":
+                    raise NoBoundRegion("found 1 turning point(s)")
+                return bad
+            return E - 30.0
+
+        b = numerics._climb(g, 0.0, math.nan, 0.01, 10.0)
+        assert (b.lo, b.hi) == (pytest.approx(11.11), pytest.approx(111.11))
+
+    def test_halves_toward_an_unevaluable_top(self):
+        # the root at 6.9 sits just under a rim at 7; the step from 3 to 11
+        # overshoots it, and the halved steps bracket the root below the rim
+        def g(E):
+            if E > 7.0:
+                raise NoBoundRegion("found 0 turning point(s)")
+            return E - 6.9
+
+        b = numerics._climb(g, 0.0, -6.9, 1.0, 2.0)
+        assert b.lo < 6.9 <= b.hi <= 7.0
+        assert numerics._refine(g, b, Tolerances()) == pytest.approx(6.9, rel=1e-12)
+
+    def test_closes_in_on_a_first_value_above_the_level(self):
+        # g cannot be evaluated below 0.4 and is already positive at 1.11, the
+        # first point above: the root at 0.6 lies in the band between them
+        def g(E):
+            if E < 0.4:
+                raise AmbiguousWells("found 4 turning points")
+            return E - 0.6
+
+        b = numerics._climb(g, 0.0, math.nan, 0.01, 10.0)
+        assert 0.4 <= b.lo < 0.6 <= b.hi < 1.11

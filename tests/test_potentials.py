@@ -193,6 +193,18 @@ class TestEvaluate:
         assert potentials.evaluate(spec, x_min, U) == pytest.approx(4.0, rel=1e-14)
         assert potentials.u_min(spec) == pytest.approx(4.0, rel=1e-14)
 
+    def test_u_min_lets_a_fault_through(self):
+        # only evaluation errors make a point unusable; a fault is not hidden
+        # as "not evaluable anywhere"
+        spec = potentials.parse_potential_spec("expr:x^2;domain=-1..1")
+
+        def broken(x):
+            raise TypeError("a fault")
+
+        object.__setattr__(spec, "compiled", broken)
+        with pytest.raises(TypeError, match="a fault"):
+            potentials.u_min(spec)
+
     def test_step_two_plateaus(self):
         spec = Step(u0=3.0)
         assert potentials.evaluate(spec, -1.0, U) == 0.0

@@ -80,6 +80,15 @@ class TestTurningPoints:
         with pytest.raises(NoBoundRegion):
             solver.turning_points(expr, 100.0, U)
 
+    def test_a_turning_point_within_one_coarse_step_of_an_open_end(self):
+        # x2 = 2.3160 lies within the last step of the 257-point grid, whose
+        # end point is outside the open domain: that grid sees only x1, and the
+        # finer grids are scanned until both turning points show
+        expr = parse_potential_spec("expr:1/x^2+x^2;domain=0..2.3235459456278305")
+        tp = solver.turning_points(expr, 5.55, U)
+        x1, x2 = (math.sqrt(0.5 * (5.55 + sign * math.sqrt(5.55 ** 2 - 4.0))) for sign in (-1.0, 1.0))
+        assert (tp.x1, tp.x2) == (pytest.approx(x1, rel=1e-12), pytest.approx(x2, rel=1e-12))
+
     def test_axb_positive_side_returned(self):
         tp = solver.turning_points(QuadraticInverse(a=1.0, b=1.0), 5.0, U)
         assert tp.x1 > 0.0
