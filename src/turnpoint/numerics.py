@@ -281,16 +281,26 @@ def solve_self_consistent(
 
     Levels sit near the low end of the window, so the bracket is the lowest
     sign change of a 14-point geometric scan up from e_lo (`bracket_roots`
-    with geometric=True), or when it sees none, of a tenfold `_climb` from
-    e_lo that starts with the scan's first gap. `_refine` then refines the
+    with geometric=True), or when it sees none, of a tenfold `_climb` that
+    goes on from its highest finite g < 0 (from e_lo if none: the level may
+    sit below the first finite g >= 0). `_refine` then refines the
     root inside it. The root is the lowest sign change only at the
     resolution of that search: a bracket of the scan may span up to nine
     tenths of the window.
     """
     tol = tol or Tolerances()
-    brackets = bracket_roots(g, e_lo, e_hi, _LADDER_STEPS, geometric=True)
-    first_gap = (e_hi - e_lo) * 10.0 ** (1 - _LADDER_STEPS)
-    return _refine(g, brackets[0] if brackets else _climb(g, e_lo, math.nan, first_gap, 10.0), tol)
+    below = [e_lo, math.nan]  # the highest scanned E with a finite g < 0, and g there
+
+    def scanned(E: float) -> float:
+        f = g(E)
+        if -math.inf < f < 0.0:  # the scan goes up
+            below[:] = E, f
+        return f
+
+    brackets = bracket_roots(scanned, e_lo, e_hi, _LADDER_STEPS, geometric=True)
+    # the ladder's next point is e_lo + 10 (E - e_lo), or its first gap above E = e_lo
+    step = 9.0 * (below[0] - e_lo) or (e_hi - e_lo) * 10.0 ** (1 - _LADDER_STEPS)
+    return _refine(g, brackets[0] if brackets else _climb(g, *below, step, 10.0), tol)
 
 
 def _climb(g: Callable[[float], float], lo: float, f_lo: float, step: float, growth: float) -> Bracket:

@@ -1,16 +1,16 @@
 """Independent standard-QM oracle: Numerov shooting for bound states of the
 same wells, plus the textbook step-potential reflection coefficient.
 
-Every pass shoots psi from both walls and matches the shots at an interior
+Every pass shoots from both walls and matches the shots at an interior
 point: their sign changes plus the sign of their Wronskian count the box
 eigenvalues below E, and the Wronskian, normalized, is a mismatch that is zero
-at those eigenvalues and smooth in E. Counts over the whole box isolate level
-k (0-based) in a bracket whose ends count k and k + 1; Brent's method then
-finds the zero of the mismatch matched near the right turning point. A level
-takes about 11 passes (2 counts and 9 mismatch evaluations), where bisecting
-the count took about 33. The shots run on y = c psi, one multiply and one
-subtract per point, and Brent's skip the tails where psi from the walls is
-below rounding. U is tabulated once per box.
+at those eigenvalues and smooth in E. Counts isolate level k (0-based) in a
+bracket whose ends count k and k + 1; Brent's method then finds the zero of
+the mismatch matched near the right turning point. A level takes about 11
+passes (2 counts and 9 mismatch evaluations). A shot keeps only the ratio
+y[i+1] / y[i] of y = c psi (Johnson 1977), so it never rescales, and skips
+the tails where psi from the walls is below rounding: beyond every pocket for
+a count, beyond the matching point for Brent's. U is tabulated once per box.
 """
 
 from __future__ import annotations
@@ -109,19 +109,22 @@ def _recurrence(u: np.ndarray, E: float, h: float, units: UnitSystem) -> np.ndar
 
 
 def _shot(b: list[float]) -> tuple[int, float, float]:
-    """y[i+1] = b[i] y[i] - y[i-1] from y = 0, 1e-6 over b: its sign changes (zeros and NaN
-    carry no sign; a value is counted before a rescale divides it) and its last two values,
-    up to a common positive factor."""
-    prev, cur = 0.0, 1e-6
-    sign, nodes = 1.0, 0
+    """y[i+1] = b[i] y[i] - y[i-1] from y = 0, 1 over b, run as the ratio r = y[i+1] / y[i] = b[i] - 1 / r
+    from r = inf (Johnson, J. Chem. Phys. 67, 4086, 1977): its sign changes, one at each r < 0 (a
+    zero of y gives r = 0, then r = -inf; NaN carries no sign), and its last two values, rebuilt
+    from the last r up to a common positive factor, at most 1 in size."""
+    r, nodes = math.inf, 0
     for b_cur in b:
-        prev, cur = cur, b_cur * cur - prev
-        if cur * sign < 0.0:
-            sign = -sign
+        try:
+            r = b_cur - 1.0 / r
+        except ZeroDivisionError:  # y[i] = 0, so y[i+1] = -y[i-1]
+            r = -math.inf
+        if r < 0.0:
             nodes += 1
-        if cur > 1e100 or cur < -1e100:
-            prev, cur = prev / 1e100, cur / 1e100
-    return nodes, prev, cur
+    s = -1.0 if nodes % 2 else 1.0  # the sign of the last nonzero value, as y[1] > 0
+    if abs(r) > 1.0:
+        return nodes, s / r, s
+    return nodes, (-s if r < 0.0 else s), s * abs(r)
 
 
 def _match(u: np.ndarray, E: float, h: float, units: UnitSystem, m: int, hk: float) -> tuple[int, float]:
@@ -129,17 +132,33 @@ def _match(u: np.ndarray, E: float, h: float, units: UnitSystem, m: int, hk: flo
     and the mismatch sin(theta_r - theta_l) of their angles theta = atan2(psi' / k, psi) at
     m + 1/2 (h k = hk), zero exactly at the box's eigenvalues and smooth in E. The count is the
     shots' sign changes up to m + 1, plus 1 where W = l[m] r[m+1] - l[m+1] r[m] has the sign of
-    l[m+1] r[m+1] (the discrete Pruefer index, Pryce 1993). The shots run on y = c psi with
+    l[m+1] r[m+1] (the discrete Pruefer index, Pryce 1993). The shots run on ratios of y = c psi,
     b = (12 - 10 c) / c; psi = y / c keeps its sign, as c > 0 on c[1:] at every E tried (see `box`)."""
     c = _stencil(u, E, h, units)
     b = ((12.0 - 10.0 * c[1:-1]) / c[1:-1]).tolist()  # b[j] belongs to point j + 1
     (nodes_l, l0, l1), (nodes_r, r2, r1) = _shot(b[:m]), _shot(b[:m:-1])
     r0 = b[m] * r1 - r2  # the right shot's step to m, whose sign change is not counted
+    count = nodes_l + nodes_r + ((l0 * r1 - l1 * r0) * l1 * r1 > 0.0)  # on y: psi = y / c can underflow
     c0, c1 = c[m:m + 2].tolist()
     l0, l1, r0, r1 = l0 / c0, l1 / c1, r0 / c0, r1 / c1
-    count = nodes_l + nodes_r + ((l0 * r1 - l1 * r0) * l1 * r1 > 0.0)
     theta_l = math.atan2((l1 - l0) / hk, 0.5 * (l0 + l1))
     return count, math.sin(math.atan2((r1 - r0) / hk, 0.5 * (r0 + r1)) - theta_l)
+
+
+def _live_span(u: np.ndarray, E: float, h: float, units: UnitSystem, first: int, last: int) -> tuple[int, int]:
+    """[start, stop) of the box from _SHOT_ACTION of action at E left of point first to as much right of last."""
+    action = np.cumsum(h * np.sqrt(np.maximum(2.0 * units.mass * (u - E), 0.0)) / units.hbar)
+    start = max(int(np.searchsorted(action, action[first] - _SHOT_ACTION, "right")) - 1, 0)
+    stop = min(int(np.searchsorted(action, action[last] + _SHOT_ACTION)) + 2, len(u))
+    return start, stop
+
+
+def _count(u: np.ndarray, E: float, h: float, units: UnitSystem) -> int:
+    """Box eigenvalues below E, from shots over the live span of every point where U <= E but the
+    one next to the right wall (so the span has the 4 points `_match` needs); any m will do."""
+    live = np.flatnonzero(u[1:-2] <= E) + 1
+    start, stop = _live_span(u, E, h, units, live[0], live[-1]) if live.size else (0, len(u))
+    return _match(u[start:stop], E, h, units, (stop - start - 1) // 2, 1.0)[0]
 
 
 def _build_grid(
@@ -199,13 +218,9 @@ def shoot_bound_states(
                 raise ConvergenceFailure(f"Numerov coefficient c = 1 + h^2 g / 12 is {c[i]} at x = {grid[i]}")
         return tables[key], grid[1] - grid[0]
 
-    def count(u: np.ndarray, E: float, h: float) -> int:
-        """Box eigenvalues below E, from both shots over the whole box (any m will do)."""
-        return _match(u, E, h, units, len(u) // 2, 1.0)[0]
-
     levels: list[ReferenceLevel] = []
     u, h = box(e_hi)
-    lo, n_lo, n_top = e_lo, 0, count(u, e_hi, h)
+    lo, n_lo, n_top = e_lo, 0, _count(u, e_hi, h, units)
     expansions = 0
     for k in range(n_max):
         # climb the ladder until the box counts more than k levels; every
@@ -218,16 +233,16 @@ def shoot_bound_states(
             if expansions > 60:
                 raise ConvergenceFailure(f"could not bracket reference level {k}")
             u, h = box(e_hi)
-            n_top = count(u, e_hi, h)
+            n_top = _count(u, e_hi, h, units)
         # the last level's upper end starts this one if it counts k levels, in
         # a new box too; else the floor does
-        if n_lo != k or (k > 0 and u is not last and count(u, lo, h) != k):
+        if n_lo != k or (k > 0 and u is not last and _count(u, lo, h, units) != k):
             lo, n_lo = e_lo, 0
         # isolate: counts narrow [lo, hi] until they read k and k + 1
         hi, n_hi = e_hi, n_top
         while hi - lo > config.energy_tol * (1.0 + abs(lo)) and (n_lo, n_hi) != (k, k + 1):
             mid = 0.5 * (lo + hi)
-            n_mid = count(u, mid, h)
+            n_mid = _count(u, mid, h, units)
             if n_mid > k:
                 hi, n_hi = mid, n_mid
             else:
@@ -240,15 +255,13 @@ def shoot_bound_states(
             m = min(max(m, 2), len(u) - 4)
             hk = h * math.sqrt(2.0 * units.mass * (hi - floor)) / units.hbar
             # shots start _SHOT_ACTION from m and m + 1 at E = hi, where kappa is smallest
-            action = np.cumsum(h * np.sqrt(np.maximum(2.0 * units.mass * (u - hi), 0.0)) / units.hbar)
-            start = max(int(np.searchsorted(action, action[m] - _SHOT_ACTION, "right")) - 1, 0)
-            stop = min(int(np.searchsorted(action, action[m] + _SHOT_ACTION)) + 2, len(u))
+            start, stop = _live_span(u, hi, h, units, m, m)
             shots = u[start:stop]
             f = lambda E: _match(shots, E, h, units, m - start, hk)[1]
             f_lo, f_hi = f(lo), f(hi)
             # no sign change (rounding): refine on the counts
             if not f_lo * f_hi < 0.0:
-                f, f_lo, f_hi = (lambda E: count(u, E, h) - k - 0.5), -0.5, 0.5
+                f, f_lo, f_hi = (lambda E: _count(u, E, h, units) - k - 0.5), -0.5, 0.5
             energy = numerics.bisect(f, numerics.Bracket(lo, hi, f_lo, f_hi), tol)
         levels.append(ReferenceLevel(n_index=k, energy=energy, node_count=k))
         lo, n_lo = hi, n_hi

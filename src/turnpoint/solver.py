@@ -9,7 +9,7 @@ evaluated at the same energy. Widths depend on the unknown energy, so every
 level is a root of a scalar residual, refined by Brent's method rather than
 by fixed-point iteration (the right-hand sides need not contract). A level
 solve brackets it by a geometric energy scan up from the bottom of the
-window, or by a tenfold climb from there (`numerics.solve_self_consistent`).
+window, or by a tenfold climb past it (`numerics.solve_self_consistent`).
 A spectrum solve (`_solve_spectrum`) does so for the lowest level only, and
 climbs to each level above it from the level below, by doubling steps of
 the last gap (`numerics._climb`).

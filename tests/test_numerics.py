@@ -264,9 +264,10 @@ class TestSolveSelfConsistent:
             numerics.solve_self_consistent(lambda E: 1.0 + E * E, 0.1, 1.0, Tolerances())
 
     def test_failure_names_why_points_were_skipped(self):
-        # the climb steps over the bottom, caps at 4.44 and closes in on 2
+        # no scan point has a finite g (0.4 is below 0.41), so the climb starts
+        # from e_lo: it steps over the bottom, caps at 4.44 and closes in on 2
         def g(E):
-            if E < 0.3:
+            if E < 0.41:
                 raise AmbiguousWells(f"found 4 turning points at E={E}")
             if E >= 2.0:
                 raise NoBoundRegion("found 0 turning point(s)")
@@ -279,6 +280,42 @@ class TestSolveSelfConsistent:
             "36 of its 60 energies: 11 for AmbiguousWells (found 4 turning points at E=4e-12), "
             "25 for NoBoundRegion (found 0 turning point(s))"
         )
+
+    def test_the_climb_goes_on_from_the_highest_scanned_g_below_0(self):
+        # g < 0 at 0.4 and nowhere above: the climb starts there, on the ladder's
+        # next point 4, so no energy of the scanned window is tried twice below it
+        calls = []
+
+        def g(E):
+            calls.append(E)
+            if E < 0.3:
+                raise AmbiguousWells(f"found 4 turning points at E={E}")
+            if E >= 2.0:
+                raise NoBoundRegion("found 0 turning point(s)")
+            return -1.0
+
+        with pytest.raises(ConvergenceFailure) as info:
+            numerics.solve_self_consistent(g, 0.0, 4.0, Tolerances())
+        assert str(info.value) == (
+            "no sign change of the residual on [0.4, 4.0]; the climb skipped 27 of its 60 energies: "
+            "27 for NoBoundRegion (found 0 turning point(s))"
+        )
+        assert min(calls[14:]) > 0.4
+
+    def test_no_climb_point_falls_inside_the_scanned_window(self):
+        # g < 0 on all of [0, 1]: the climb goes on with the scan's tenfold
+        # ladder from 1: 14 scan points, 10 and 100, then the refinement
+        calls = []
+
+        def g(E):
+            calls.append(E)
+            return E - 30.0
+
+        root = numerics.solve_self_consistent(g, 0.0, 1.0, Tolerances())
+        assert root == pytest.approx(30.0, rel=1e-10)
+        assert calls[:14] == [0.0] + [10.0 ** -j for j in range(12, -1, -1)]
+        assert calls[14:16] == [10.0, 100.0] and min(calls[14:]) > 1.0
+        assert len(calls) == 18
 
     def test_failure_without_skipped_points_keeps_its_message(self):
         # g > 0 everywhere: the climb closes in on its start from above

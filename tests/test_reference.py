@@ -1,6 +1,7 @@
 """Numerov shooting oracle and the textbook step comparator."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -361,7 +362,7 @@ class TestMismatchOnY:
         match = reference._match
 
         def recorded(u, E, h, units, m, hk):
-            if u.base is not None:  # the refinement runs on a view of the box, counts on all of it
+            if hk != 1.0:  # the refinement's calls; counts pass hk = 1
                 groups.setdefault((id(u), m, hk), ((u, h, m, hk), []))[1].append(E)
             return match(u, E, h, units, m, hk)
 
@@ -390,7 +391,7 @@ class TestTrimmedShots:
         match = reference._match
 
         def recorded(u, E, h, units, m, hk):
-            if u.base is not None:  # the refinement runs on a view of the box, counts on all of it
+            if hk != 1.0:  # the refinement's calls; counts pass hk = 1
                 groups.setdefault((id(u), m, hk), ((u, h, m, hk), []))[1].append(E)
             return match(u, E, h, units, m, hk)
 
@@ -446,6 +447,20 @@ def _stored_count(u, E, h, units) -> int:
             prev, cur = prev / 1e100, cur / 1e100
     signs = np.sign([x for x in psi if abs(x) > 0.0])
     return int(np.sum(signs[:-1] != signs[1:]))
+
+
+def _exact_count(u, E, h, units) -> int:
+    """What _stored_count counts, in exact rational arithmetic on the same
+    float coefficients: no value overflows, whatever the table."""
+    c = reference._stencil(u, E, h, units)
+    a = [Fraction(x) for x in (12.0 - 10.0 * c).tolist()]
+    c = [Fraction(x) for x in c.tolist()]
+    prev, cur, sign, nodes = Fraction(0), Fraction(1), 1, 0
+    for c_prev, a_cur, c_next in zip(c, a[1:], c[2:]):
+        prev, cur = cur, (a_cur * cur - c_prev * prev) / c_next
+        if cur * sign < 0:
+            sign, nodes = -sign, nodes + 1
+    return nodes
 
 
 def _bits(a: np.ndarray) -> list[int]:
@@ -533,6 +548,83 @@ class TestFloatRecurrence:
     )
     def test_zeros_and_nan_carry_no_sign(self, b, count):
         assert reference._shot(b)[0] == count
+
+    @settings(max_examples=100, deadline=None)
+    @given(tabulated())
+    @example((np.zeros(20), 1e300, 1.0, UnitSystem()))  # y grows tenfold a step; psi overflows
+    def test_match_counts_without_a_rescale(self, case):
+        # the shots keep only ratios of y, so tables on which psi and y overflow
+        # need no rescale; _stored_count overflows on some of them
+        u, E, h, units = case
+        with np.errstate(all="ignore"):
+            assume(len(u) >= 6 and reference._stencil(u, E, h, units)[1:].min() > 0.0)
+        count = _exact_count(u, E, h, units)
+        for m in range(2, len(u) - 3):
+            nodes, mismatch = reference._match(u, E, h, units, m, 1.0)
+            assert nodes == count and math.isfinite(mismatch)
+
+    @pytest.mark.parametrize(
+        "b",
+        [
+            [0.0],  # y: 0, 1, 0
+            [0.0, 0.0],  # y: 0, 1, 0, -1
+            [2.0, 2.5],  # y: 0, 1, 2, 4
+            [2.0, -0.25],  # y: 0, 1, 2, -1.5
+            [0.5, 0.0],  # y: 0, 1, 0.5, -1
+        ],
+    )
+    def test_shot_rebuilds_its_last_two_values(self, b):
+        # from its last ratio, up to a positive factor, however y ended
+        y = [0.0, 1.0]
+        for b_cur in b:
+            y.append(b_cur * y[-1] - y[-2])
+        _, y0, y1 = reference._shot(b)
+        assert y0 * y[-1] == y1 * y[-2] and y0 * y[-2] + y1 * y[-1] > 0.0
+        assert max(abs(y0), abs(y1)) == 1.0
+
+
+def _box(source: str, E: float):
+    spec = parse_potential_spec(source)
+    grid = reference._build_grid(spec, E, reference.NumerovConfig(), U)
+    return reference._potential_on_grid(spec, grid, U), grid[1] - grid[0]
+
+
+class TestTrimmedCounts:
+    @pytest.mark.parametrize(
+        "source, E, count",
+        [
+            ("expr:(x^2-9)^2;domain=-8..8", 5.0, 2),  # a window about the lowest U counts 1
+            ("expr:(x^2-9)^2;domain=-8..8", 13.0, 4),
+            ("expr:(x^2-4)^2;domain=-6..6", 2.7624125, 1),  # between the split ground pair
+            ("expr:(x^2-4)^2;domain=-6..6", 5.0, 2),
+            ("expr:(x^2-4)^2;domain=-6..6", 10.0, 4),
+        ],
+    )
+    def test_every_pocket_counts(self, source, E, count, monkeypatch):
+        u, h = _box(source, E)
+        steps = 0
+        shot = reference._shot
+
+        def counted(b):
+            nonlocal steps
+            steps += len(b)
+            return shot(b)
+
+        monkeypatch.setattr(reference, "_shot", counted)
+        assert _stored_count(u, E, h, U) == count
+        assert reference._count(u, E, h, U) == count
+        assert steps < len(u) - 2  # the walls' tails were cut
+
+    @settings(max_examples=60, deadline=None)
+    @given(_WELLS, st.floats(0.1, 30.0), st.floats(0.0, 1.0), st.integers(50, 600), _UNITS)
+    def test_equals_the_count_over_the_whole_box(self, spec, rung, f, half, units):
+        floor, scale = potentials.u_min(spec), spec.energy_scale(units)
+        config = reference.NumerovConfig(n_points=2 * half + 1)
+        grid = reference._build_grid(spec, floor + rung * scale, config, units)
+        u = reference._potential_on_grid(spec, grid, units)
+        h, E = grid[1] - grid[0], floor + f * rung * scale
+        assume(reference._stencil(u, E, h, units)[1:].min() > 0.0)
+        assert reference._count(u, E, h, units) == _stored_count(u, E, h, units)
 
 
 class TestStandardStep:
