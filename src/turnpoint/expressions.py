@@ -20,6 +20,8 @@ import operator
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .errors import EvalError, ExpressionSyntaxError, UnknownIdentifier
 
 FUNCTIONS = frozenset({"sin", "cos", "tan", "cot", "sqrt", "exp", "ln", "abs"})
@@ -240,6 +242,27 @@ def evaluate(ast: ExprAst, x: float) -> float:
     return compile(ast)(x)
 
 
+def compile_grid(ast: ExprAst) -> Callable[[np.ndarray], np.ndarray]:
+    """Vector form of `compile`: at each x of a float array, the bits that
+    compile(ast)(x) returns, and NaN exactly where it raises.
+
+    + - * /, negation, abs and sqrt run as numpy ufuncs, which round
+    correctly, as Python's float operations do. ^ and the math functions run
+    per element through the closures' own ** and math calls, as numpy's may
+    round differently. Raises are kept in a mask, not as NaN: nan ** 0 is 1,
+    and (-8.0) ** 0.5 is a complex number, not an error.
+    """
+    body = _compile_grid(ast)
+
+    def evaluate(xs: np.ndarray) -> np.ndarray:
+        raised = np.zeros(len(xs), dtype=bool)
+        with np.errstate(all="ignore"):
+            values = body(xs, raised)
+            return np.where(raised | ~np.isfinite(values), math.nan, values)
+
+    return evaluate
+
+
 def _compile(node: ExprAst) -> Callable[[float], float]:
     if isinstance(node, Number):
         value = node.value
@@ -350,3 +373,100 @@ def _pow(f, g):
 
 
 _CHECKED = {"tan": _tan, "cot": _cot, "sqrt": _sqrt, "exp": _exp, "ln": _ln, "/": _div, "^": _pow}
+
+
+# grid evaluators: each takes the abscissae and the mask of raised points,
+# marks the points where its closure above raises, and returns its values
+def _compile_grid(node: ExprAst) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    if isinstance(node, (Number, Constant)):
+        value = node.value if isinstance(node, Number) else CONSTANTS[node.name]
+        return lambda xs, raised: np.full(len(xs), value)
+    if isinstance(node, Variable):
+        return lambda xs, raised: xs
+    if isinstance(node, Unary):
+        return _GRID[node.op](_compile_grid(node.child))
+    if isinstance(node, Binary):
+        return _GRID[node.op](_compile_grid(node.left), _compile_grid(node.right))
+    raise TypeError(f"unexpected AST node {node!r}")
+
+
+def _each(fn, raised: np.ndarray, *columns: np.ndarray) -> np.ndarray:
+    """fn(*row) for each row of the columns, through Python floats; marks the
+    rows where it raises or gives a complex number. Raised rows read 1.0."""
+    rows = [np.where(raised, 1.0, c).tolist() for c in columns]
+    try:
+        return np.array(list(map(fn, *rows)), dtype=float)
+    except (ArithmeticError, ValueError, TypeError):  # TypeError: a complex in the list
+        out = np.empty(len(raised))
+        for i, row in enumerate(zip(*rows)):
+            try:
+                value = fn(*row)
+            except (ArithmeticError, ValueError):
+                value = None
+            if value is None or isinstance(value, complex):
+                raised[i], value = True, math.nan
+            out[i] = value
+        return out
+
+
+def _grid_ufunc(ufunc):
+    return lambda *kids: lambda xs, raised: ufunc(*(kid(xs, raised) for kid in kids))
+
+
+def _grid_each(fn):
+    return lambda *kids: lambda xs, raised: _each(fn, raised, *(kid(xs, raised) for kid in kids))
+
+
+def _grid_tan(f):
+    def tan(xs, raised):
+        out = _each(math.tan, raised, f(xs, raised))
+        raised |= ~np.isfinite(out)
+        return out
+
+    return tan
+
+
+def _grid_cot(f):
+    def cot(xs, raised):
+        v = f(xs, raised)
+        s = _each(math.sin, raised, v)
+        raised |= s == 0.0
+        return _each(math.cos, raised, v) / s
+
+    return cot
+
+
+def _grid_sqrt(f):
+    def sqrt(xs, raised):
+        v = f(xs, raised)
+        raised |= v < 0.0
+        return np.sqrt(v)
+
+    return sqrt
+
+
+def _grid_ln(f):
+    def ln(xs, raised):
+        v = f(xs, raised)
+        raised |= v <= 0.0
+        return _each(math.log, raised, v)
+
+    return ln
+
+
+def _grid_div(f, g):
+    def div(xs, raised):
+        left = f(xs, raised)
+        right = g(xs, raised)
+        raised |= right == 0.0
+        return left / right
+
+    return div
+
+
+_GRID = {
+    "neg": _grid_ufunc(np.negative), "abs": _grid_ufunc(np.abs), "sqrt": _grid_sqrt,
+    "+": _grid_ufunc(np.add), "-": _grid_ufunc(np.subtract), "*": _grid_ufunc(np.multiply), "/": _grid_div,
+    "sin": _grid_each(math.sin), "cos": _grid_each(math.cos), "tan": _grid_tan, "cot": _grid_cot,
+    "exp": _grid_each(math.exp), "ln": _grid_ln, "^": _grid_each(operator.pow),
+}

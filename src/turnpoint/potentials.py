@@ -95,8 +95,9 @@ class PotentialSpec:
         raise NotImplementedError
 
     def evaluate_grid(self, xs: np.ndarray, units: UnitSystem) -> np.ndarray:
-        """U at the points xs, none of them outside the domain or at a pole."""
-        return np.array([self.evaluate(x, units) for x in xs.tolist()], dtype=float)
+        """U at the points xs, NaN where `evaluate` raises. A closed-form
+        family's numpy form is only called inside the domain, off any pole."""
+        return numerics.tabulate(lambda x: self.evaluate(x, units), xs.tolist())
 
     def domain(self) -> Domain:
         """The domain on which the potential may be evaluated."""
@@ -368,12 +369,14 @@ class Expression(PotentialSpec):
     dom: Domain
     source: str = ""
     compiled: Callable[[float], float] = field(init=False, repr=False, compare=False)
+    compiled_grid: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False, compare=False)
     kind = "expr"
 
     def __post_init__(self):
         if not (math.isfinite(self.dom.lo) and math.isfinite(self.dom.hi)):
             raise InvalidInput(f"expression domain must be finite, got [{self.dom.lo}, {self.dom.hi}]")
         object.__setattr__(self, "compiled", expressions.compile(self.ast))
+        object.__setattr__(self, "compiled_grid", expressions.compile_grid(self.ast))
 
     def __reduce__(self):
         # closures do not pickle; the copy compiles its own
@@ -384,23 +387,20 @@ class Expression(PotentialSpec):
             raise DomainError(f"x={x} outside the expression domain [{self.dom.lo}, {self.dom.hi}]")
         return self.compiled(x)
 
+    def evaluate_grid(self, xs, units):
+        inside = (self.dom.lo < xs) & (xs < self.dom.hi)
+        return np.where(inside, self.compiled_grid(xs), math.nan)
+
     def domain(self):
         return self.dom
 
     def u_min(self):
-        """Smallest U on 511 interior points of the domain."""
+        """Smallest U on the 511 points lo + (hi - lo) * i / 512, i = 1..511."""
         lo, hi = self.dom.lo, self.dom.hi
-        best = math.inf
-        n = 512
-        for i in range(1, n):
-            x = lo + (hi - lo) * i / n
-            try:
-                best = min(best, self.compiled(x))
-            except numerics._EVAL_ERRORS:
-                continue
-        if not math.isfinite(best):
+        u = self.compiled_grid(lo + (hi - lo) * np.arange(1, 512) / 512)
+        if np.isnan(u).all():
             raise DomainError("expression potential not evaluable anywhere on its domain")
-        return best
+        return float(u[np.nanargmin(u)])  # the first of equal values, as a running min keeps
 
     def scale(self, units):
         return (self.dom.hi - self.dom.lo) / 10.0

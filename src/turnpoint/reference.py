@@ -58,9 +58,13 @@ class ReferenceLevel:
 
 def _potential_on_grid(spec: PotentialSpec, grid: np.ndarray, units: UnitSystem) -> np.ndarray:
     """U on the grid; endpoints where U is undefined act as hard walls
-    (psi = 0 there, so the value never enters the recurrence)."""
+    (psi = 0 there, so the value never enters the recurrence). At an
+    interior point where U is undefined, `evaluate` raises its own error."""
     u = np.empty(len(grid))
     u[1:-1] = spec.evaluate_grid(grid[1:-1], units)
+    undefined = np.flatnonzero(np.isnan(u[1:-1]))
+    if undefined.size:
+        potentials.evaluate(spec, float(grid[1 + undefined[0]]), units)  # raises
     for i in (0, -1):
         try:
             u[i] = potentials.evaluate(spec, float(grid[i]), units)

@@ -120,35 +120,43 @@ class _UTable:
     U does not depend on E, so one table serves every turning-point scan
     of a spectrum solve. A scan on n_grid points reads every
     (4096 // n_grid)-th entry: the 257-point grid first, then the odd
-    multiples of 8, 4, 2 and 1, each filled only when a scan first needs
-    it. A scan computes its abscissae with bracket_roots' formula, and
-    i / n_grid == (i * 4096 / n_grid) / 4096 exactly, so the shared entries
-    sit at bit-identical x; an entry whose x differs (a grid outside the
-    normal float range) is evaluated again. Scanning the table therefore
-    gives exactly the brackets bracket_roots gives on f(x) = E - U(x).
+    multiples of 8, 4, 2 and 1, each filled by one `evaluate_grid` call when
+    a scan first needs it. That scan computes its abscissae with
+    bracket_roots' formula, and i / n_grid == (i * 4096 / n_grid) / 4096
+    exactly, so the shared entries sit at bit-identical x; an entry whose x
+    differs (a grid outside the normal float range) is evaluated again. The
+    abscissae and U of each grid are kept after its first scan, so a later
+    energy only subtracts. On the wells that scan, expressions and the step,
+    `evaluate_grid` gives NaN exactly where `evaluate` raises and its bits
+    elsewhere, so scanning the table gives exactly the brackets
+    bracket_roots gives on f(x) = E - U(x).
     """
 
     def __init__(self, spec: PotentialSpec, units: UnitSystem):
         self.spec, self.units = spec, units
         self.x = self.u = None  # allocated by the first scan; closed forms never scan
+        self.grids = {}  # n_grid -> (abscissae, U)
 
     def brackets(self, E: float, n_grid: int) -> list[numerics.Bracket]:
+        xs, u = self.grids.get(n_grid) or self._fill(n_grid)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are skipped points
+            return numerics.sign_changes(xs, E - u)
+
+    def _fill(self, n_grid: int) -> tuple[np.ndarray, np.ndarray]:
         if self.u is None:
             self.lo, self.hi = self.spec.span()
             self.x = np.full(_SCAN_GRIDS[-1] + 1, np.nan)
             self.u = np.full(_SCAN_GRIDS[-1] + 1, np.nan)
         step = _SCAN_GRIDS[-1] // n_grid
-        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are skipped points
+        with np.errstate(over="ignore", invalid="ignore"):
             xs = self.lo + (self.hi - self.lo) * np.arange(n_grid + 1) / n_grid
             stale = np.flatnonzero(self.x[::step] != xs)  # NaN marks an empty entry
-            if stale.size:
-                new_x = xs[stale]
-                self.u[stale * step] = numerics.tabulate(
-                    lambda x: potentials.evaluate(self.spec, x, self.units), new_x.tolist()
-                )
-                self.x[stale * step] = new_x
-            values = E - self.u[::step]
-        return numerics.sign_changes(xs, values)
+        if stale.size:
+            self.u[stale * step] = self.spec.evaluate_grid(xs[stale], self.units)
+            self.x[stale * step] = xs[stale]
+        # a copy: a finer grid may evaluate a shared entry again at its own x
+        self.grids[n_grid] = xs, self.u[::step].copy()
+        return self.grids[n_grid]
 
 
 def turning_points(

@@ -193,15 +193,14 @@ class TestEvaluate:
         assert potentials.evaluate(spec, x_min, U) == pytest.approx(4.0, rel=1e-14)
         assert potentials.u_min(spec) == pytest.approx(4.0, rel=1e-14)
 
-    def test_u_min_lets_a_fault_through(self):
-        # only evaluation errors make a point unusable; a fault is not hidden
-        # as "not evaluable anywhere"
-        spec = potentials.parse_potential_spec("expr:x^2;domain=-1..1")
-
-        def broken(x):
+    def test_u_min_lets_a_fault_through(self, monkeypatch):
+        # only evaluation errors make a point unusable; a fault in the grid
+        # evaluator's per-element power is not hidden as "not evaluable anywhere"
+        def broken(left, right):
             raise TypeError("a fault")
 
-        object.__setattr__(spec, "compiled", broken)
+        monkeypatch.setitem(expressions._GRID, "^", expressions._grid_each(broken))
+        spec = potentials.parse_potential_spec("expr:x^2;domain=-1..1")
         with pytest.raises(TypeError, match="a fault"):
             potentials.u_min(spec)
 

@@ -432,21 +432,22 @@ def _numpy_numerov(u, E, h, units):
 
 def _stored_count(u, E, h, units) -> int:
     """Sign changes of psi shot from the left wall over the whole box, the
-    right wall included, counted on the stored values as node counts once
-    were: the number of box eigenvalues below E."""
-    g = (2.0 * units.mass / (units.hbar * units.hbar)) * (E - u)
-    c = 1.0 + h * h * g / 12.0
+    right wall included, counted on float values as node counts once were:
+    the number of box eigenvalues below E. Each step rescales by powers of
+    two, which is exact, so that no product or quotient overflows, whatever
+    the table."""
+    c = reference._stencil(u, E, h, units)
     a = (12.0 - 10.0 * c).tolist()
     c = c.tolist() if c.all() else list(c)
-    psi = [1e-6]
-    prev, cur = 0.0, 1e-6
+    prev, cur, sign, nodes = 0.0, 1e-6, 1, 0
     for c_prev, a_cur, c_next in zip(c, a[1:], c[2:]):
-        prev, cur = cur, (a_cur * cur - c_prev * prev) / c_next
-        psi.append(cur)
-        if cur > 1e100 or cur < -1e100:
-            prev, cur = prev / 1e100, cur / 1e100
-    signs = np.sign([x for x in psi if abs(x) > 0.0])
-    return int(np.sum(signs[:-1] != signs[1:]))
+        shift = -math.frexp(max(abs(prev), abs(cur)))[1]
+        prev, cur = math.ldexp(prev, shift), math.ldexp(cur, shift)
+        mantissa, shift = math.frexp(a_cur * cur - c_prev * prev)
+        prev, cur = math.ldexp(cur, -shift), mantissa / c_next
+        if cur * sign < 0:
+            sign, nodes = -sign, nodes + 1
+    return nodes
 
 
 def _exact_count(u, E, h, units) -> int:
@@ -562,6 +563,15 @@ class TestFloatRecurrence:
         for m in range(2, len(u) - 3):
             nodes, mismatch = reference._match(u, E, h, units, m, 1.0)
             assert nodes == count and math.isfinite(mismatch)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tabulated())
+    @example((np.zeros(20), 1e300, 1.0, UnitSystem()))  # psi grows by 1e302 a step
+    def test_stored_count_is_the_exact_count(self, case):
+        u, E, h, units = case
+        with np.errstate(all="ignore"):
+            assume(reference._stencil(u, E, h, units)[1:].min() > 0.0)
+        assert _stored_count(u, E, h, units) == _exact_count(u, E, h, units)
 
     @pytest.mark.parametrize(
         "b",

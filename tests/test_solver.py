@@ -353,12 +353,13 @@ class TestUTable:
     def test_grid_points_past_overflow_are_evaluated_again(self):
         # hi * i overflows on the 513-point grid from i = 200 on, where the
         # 257-point grid still had x = hi * 100 / 256 finite; a sign change of
-        # x - t between the two must not be seen at x = inf
+        # x - t between the two must not be seen at x = inf, nor, scanned
+        # again, on the 257-point grid, whose entry the 513-point one replaced
         hi = 1.7976931348623157e308 / 199.5
         t = 0.5 * (hi * 199 / 512 + hi * 100 / 256)
         spec = parse_potential_spec(f"expr:x - {t!r};domain=0..{hi!r}")
         table = solver._UTable(spec, U)
-        for n in (256, 512):
+        for n in (256, 512, 256):
             fresh = numerics.bracket_roots(lambda x: -potentials.evaluate(spec, x, U), 0.0, hi, n)
             assert _key(table.brackets(0.0, n)) == _key(fresh)
 
@@ -372,6 +373,13 @@ class TestUTable:
 
         monkeypatch.setattr(potentials, "evaluate", counted)
         spec = parse_potential_spec("expr:0.5*x^2;domain=-12..12")
+        grid = spec.compiled_grid
+
+        def counted_grid(xs):  # the u_min scan and the table fills, one per point
+            calls[0] += len(xs)
+            return grid(xs)
+
+        object.__setattr__(spec, "compiled_grid", counted_grid)
         gs = solver.ground_state_energy(spec, U)
         assert gs.energy == pytest.approx(0.5, abs=1e-8)
         assert calls[0] <= 3_000
