@@ -7,15 +7,20 @@ eigenvalues below E, and the Wronskian, normalized, is a mismatch that is zero
 at those eigenvalues and smooth in E. Counts isolate level k (0-based) in a
 bracket whose ends count k and k + 1; Brent's method then finds the zero of
 the mismatch matched near the right turning point. A level takes about 11
-passes (2 counts and 9 mismatch evaluations). A shot keeps only the ratio
-y[i+1] / y[i] of y = c psi (Johnson 1977), so it never rescales, and skips
-the tails where psi from the walls is below rounding: beyond every pocket for
-a count, beyond the matching point for Brent's. U is tabulated once per box.
+passes (2 counts and 9 mismatch evaluations). Shots run on y = c psi in one of
+two kernels. A count's shots keep only the ratio y[i+1] / y[i] (Johnson 1977),
+so they count sign changes over every pocket of a box and never overflow.
+Brent's shots start 25 of action from the matching point, so they run y
+itself, with no count, divide or rescale, and fall back to ratios only where y
+overflows all the same. Every shot skips the tails where psi from the walls is
+below rounding: beyond every pocket for a count, beyond the matching point for
+Brent's. U is tabulated once per box, and a count's span once per rung.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,7 +117,7 @@ def _recurrence(u: np.ndarray, E: float, h: float, units: UnitSystem) -> np.ndar
     return psi
 
 
-def _shot(b: list[float]) -> tuple[int, float, float]:
+def _shot(b: Iterable[float]) -> tuple[int, float, float]:
     """y[i+1] = b[i] y[i] - y[i-1] from y = 0, 1 over b, run as the ratio r = y[i+1] / y[i] = b[i] - 1 / r
     from r = inf (Johnson, J. Chem. Phys. 67, 4086, 1977): its sign changes, one at each r < 0 (a
     zero of y gives r = 0, then r = -inf; NaN carries no sign), and its last two values, rebuilt
@@ -131,22 +136,53 @@ def _shot(b: list[float]) -> tuple[int, float, float]:
     return nodes, (-s if r < 0.0 else s), s * abs(r)
 
 
-def _match(u: np.ndarray, E: float, h: float, units: UnitSystem, m: int, hk: float) -> tuple[int, float]:
-    """The shots from both walls, matched at m and m + 1: the number of box eigenvalues below E,
-    and the mismatch sin(theta_r - theta_l) of their angles theta = atan2(psi' / k, psi) at
-    m + 1/2 (h k = hk), zero exactly at the box's eigenvalues and smooth in E. The count is the
-    shots' sign changes up to m + 1, plus 1 where W = l[m] r[m+1] - l[m+1] r[m] has the sign of
-    l[m+1] r[m+1] (the discrete Pruefer index, Pryce 1993). The shots run on ratios of y = c psi,
-    b = (12 - 10 c) / c; psi = y / c keeps its sign, as c > 0 on c[1:] at every E tried (see `box`)."""
+def _ends(b: Iterable[float]) -> tuple[float, float]:
+    """The same recurrence run on y itself: its last two values, signs and all. It counts nothing
+    and never rescales, so it overflows where y grows past 1e308, as `_shot` never does."""
+    y0, y1 = 0.0, 1.0
+    for b_cur in b:
+        y0, y1 = y1, b_cur * y1 - y0
+    return y0, y1
+
+
+def _weights(u: np.ndarray, E: float, h: float, units: UnitSystem) -> tuple[np.ndarray, np.ndarray]:
+    """c of `_stencil` and the shots' b = (12 - 10 c) / c, where b[j] belongs to point j + 1."""
     c = _stencil(u, E, h, units)
-    b = ((12.0 - 10.0 * c[1:-1]) / c[1:-1]).tolist()  # b[j] belongs to point j + 1
-    (nodes_l, l0, l1), (nodes_r, r2, r1) = _shot(b[:m]), _shot(b[:m:-1])
-    r0 = b[m] * r1 - r2  # the right shot's step to m, whose sign change is not counted
-    count = nodes_l + nodes_r + ((l0 * r1 - l1 * r0) * l1 * r1 > 0.0)  # on y: psi = y / c can underflow
+    return c, (12.0 - 10.0 * c[1:-1]) / c[1:-1]
+
+
+def _sine(c: np.ndarray, m: int, hk: float, l0: float, l1: float, r0: float, r1: float) -> float:
+    """sin(theta_r - theta_l) of the angles theta = atan2(psi' / k, psi) at m + 1/2 (h k = hk) of
+    the shots' values y = c psi at m and m + 1, each known up to a positive factor."""
     c0, c1 = c[m:m + 2].tolist()
     l0, l1, r0, r1 = l0 / c0, l1 / c1, r0 / c0, r1 / c1
     theta_l = math.atan2((l1 - l0) / hk, 0.5 * (l0 + l1))
-    return count, math.sin(math.atan2((r1 - r0) / hk, 0.5 * (r0 + r1)) - theta_l)
+    return math.sin(math.atan2((r1 - r0) / hk, 0.5 * (r0 + r1)) - theta_l)
+
+
+def _match(u: np.ndarray, E: float, h: float, units: UnitSystem, m: int, hk: float) -> tuple[int, float]:
+    """The shots from both walls, matched at m and m + 1: the number of box eigenvalues below E,
+    and the mismatch `_sine` of their angles, zero exactly at the box's eigenvalues and smooth in E.
+    The count is the shots' sign changes up to m + 1, plus 1 where W = l[m] r[m+1] - l[m+1] r[m]
+    has the sign of l[m+1] r[m+1] (the discrete Pruefer index, Pryce 1993). The shots run on ratios
+    of y = c psi; psi = y / c keeps its sign, as c > 0 on c[1:] at every E tried (see `box`)."""
+    c, b = _weights(u, E, h, units)
+    (nodes_l, l0, l1), (nodes_r, r2, r1) = _shot(memoryview(b[:m])), _shot(memoryview(b[:m:-1]))
+    r0 = float(b[m]) * r1 - r2  # the right shot's step to m, whose sign change is not counted
+    count = nodes_l + nodes_r + ((l0 * r1 - l1 * r0) * l1 * r1 > 0.0)  # on y: psi = y / c can underflow
+    return count, _sine(c, m, hk, l0, l1, r0, r1)
+
+
+def _mismatch(u: np.ndarray, E: float, h: float, units: UnitSystem, m: int, hk: float) -> float:
+    """The mismatch of `_match` from `_ends` shots, which cost less per step: Brent's refinement
+    trims its shots to _SHOT_ACTION of action, over which y stays far below overflow. Where an end
+    value is not finite all the same, it is `_match`'s."""
+    c, b = _weights(u, E, h, units)
+    (l0, l1), (r2, r1) = _ends(memoryview(b[:m])), _ends(memoryview(b[:m:-1]))
+    r0 = float(b[m]) * r1 - r2
+    if not math.isfinite(l0 + l1 + r0 + r1):
+        return _match(u, E, h, units, m, hk)[1]
+    return _sine(c, m, hk, l0, l1, r0, r1)
 
 
 def _live_span(u: np.ndarray, E: float, h: float, units: UnitSystem, first: int, last: int) -> tuple[int, int]:
@@ -157,11 +193,18 @@ def _live_span(u: np.ndarray, E: float, h: float, units: UnitSystem, first: int,
     return start, stop
 
 
-def _count(u: np.ndarray, E: float, h: float, units: UnitSystem) -> int:
-    """Box eigenvalues below E, from shots over the live span of every point where U <= E but the
-    one next to the right wall (so the span has the 4 points `_match` needs); any m will do."""
+def _count_span(u: np.ndarray, E: float, h: float, units: UnitSystem) -> tuple[int, int]:
+    """The live span of every point where U <= E but the one next to the right wall (so the span has
+    the 4 points `_match` needs). It holds the span of every lower E: fewer points are live there,
+    and the action from them to the walls grows faster."""
     live = np.flatnonzero(u[1:-2] <= E) + 1
-    start, stop = _live_span(u, E, h, units, live[0], live[-1]) if live.size else (0, len(u))
+    return _live_span(u, E, h, units, live[0], live[-1]) if live.size else (0, len(u))
+
+
+def _count(u: np.ndarray, E: float, h: float, units: UnitSystem, span: tuple[int, int]) -> int:
+    """Box eigenvalues below E, from shots over span, the `_count_span` of E or of an energy above
+    it; any m will do."""
+    start, stop = span
     return _match(u[start:stop], E, h, units, (stop - start - 1) // 2, 1.0)[0]
 
 
@@ -209,7 +252,8 @@ def shoot_bound_states(
     tables: dict[bytes, np.ndarray] = {}
     e_lo, e_hi = floor + 1e-9 * scale, floor + scale
 
-    def box(E: float) -> tuple[np.ndarray, float]:
+    def box(E: float) -> tuple[np.ndarray, float, tuple[int, int]]:
+        # the rung's table, step and count span at E, which every count on the rung reuses
         grid = _build_grid(spec, E, config, units)
         key = grid[[0, -1]].tobytes()
         if key not in tables:
@@ -220,11 +264,12 @@ def shoot_bound_states(
             i = int(np.argmin(c[1:])) + 1
             if not c[i] > 0.0:
                 raise ConvergenceFailure(f"Numerov coefficient c = 1 + h^2 g / 12 is {c[i]} at x = {grid[i]}")
-        return tables[key], grid[1] - grid[0]
+        u, h = tables[key], grid[1] - grid[0]
+        return u, h, _count_span(u, E, h, units)
 
     levels: list[ReferenceLevel] = []
-    u, h = box(e_hi)
-    lo, n_lo, n_top = e_lo, 0, _count(u, e_hi, h, units)
+    u, h, span = box(e_hi)
+    lo, n_lo, n_top = e_lo, 0, _count(u, e_hi, h, units, span)
     expansions = 0
     for k in range(n_max):
         # climb the ladder until the box counts more than k levels; every
@@ -236,17 +281,17 @@ def shoot_bound_states(
             expansions += 1
             if expansions > 60:
                 raise ConvergenceFailure(f"could not bracket reference level {k}")
-            u, h = box(e_hi)
-            n_top = _count(u, e_hi, h, units)
+            u, h, span = box(e_hi)
+            n_top = _count(u, e_hi, h, units, span)
         # the last level's upper end starts this one if it counts k levels, in
         # a new box too; else the floor does
-        if n_lo != k or (k > 0 and u is not last and _count(u, lo, h, units) != k):
+        if n_lo != k or (k > 0 and u is not last and _count(u, lo, h, units, span) != k):
             lo, n_lo = e_lo, 0
         # isolate: counts narrow [lo, hi] until they read k and k + 1
         hi, n_hi = e_hi, n_top
         while hi - lo > config.energy_tol * (1.0 + abs(lo)) and (n_lo, n_hi) != (k, k + 1):
             mid = 0.5 * (lo + hi)
-            n_mid = _count(u, mid, h, units)
+            n_mid = _count(u, mid, h, units, span)
             if n_mid > k:
                 hi, n_hi = mid, n_mid
             else:
@@ -261,11 +306,11 @@ def shoot_bound_states(
             # shots start _SHOT_ACTION from m and m + 1 at E = hi, where kappa is smallest
             start, stop = _live_span(u, hi, h, units, m, m)
             shots = u[start:stop]
-            f = lambda E: _match(shots, E, h, units, m - start, hk)[1]
+            f = lambda E: _mismatch(shots, E, h, units, m - start, hk)
             f_lo, f_hi = f(lo), f(hi)
             # no sign change (rounding): refine on the counts
             if not f_lo * f_hi < 0.0:
-                f, f_lo, f_hi = (lambda E: _count(u, E, h, units) - k - 0.5), -0.5, 0.5
+                f, f_lo, f_hi = (lambda E: _count(u, E, h, units, span) - k - 0.5), -0.5, 0.5
             energy = numerics.bisect(f, numerics.Bracket(lo, hi, f_lo, f_hi), tol)
         levels.append(ReferenceLevel(n_index=k, energy=energy, node_count=k))
         lo, n_lo = hi, n_hi

@@ -80,6 +80,22 @@ class TestNumerovIntegration:
         assert psi[0] == 0.0
 
 
+def _counted_shots(monkeypatch) -> list[int]:
+    """Counts the calls of both shot kernels, the counts' and Brent's, in its one item."""
+    runs = [0]
+
+    def counted(kernel):
+        def run(b):
+            runs[0] += 1
+            return kernel(b)
+
+        return run
+
+    for name in ("_shot", "_ends"):
+        monkeypatch.setattr(reference, name, counted(getattr(reference, name)))
+    return runs
+
+
 class TestBoundStates:
     def test_isw_spectrum(self):
         levels = reference.shoot_bound_states(InfiniteSquareWell(L=1.0), 3, units=U)
@@ -124,41 +140,26 @@ class TestBoundStates:
         assert 19.0 < levels[0].energy < levels[1].energy
 
     def test_each_level_resumes_the_ladder_of_the_last(self, monkeypatch):
-        # every shot counts, two a pass: 9 counts and 44 mismatch evaluations;
-        # node count bisection from the floor took 166 passes here
-        runs = 0
-        shot = reference._shot
-
-        def counted(b):
-            nonlocal runs
-            runs += 1
-            return shot(b)
-
-        monkeypatch.setattr(reference, "_shot", counted)
+        # every shot counts, two a pass, whichever kernel runs it: 9 counts and
+        # 44 mismatch evaluations; node count bisection from the floor took 166
+        # passes here
+        runs = _counted_shots(monkeypatch)
         reference.shoot_bound_states(InfiniteSquareWell(L=1.0), 5, units=U)
-        assert runs == 106
+        assert runs[0] == 106
 
     @pytest.mark.parametrize("spec", _DEFAULT_WELLS, ids=repr)
     def test_at_most_25_passes_per_level(self, spec, monkeypatch):
         # a pass is a count or one mismatch evaluation, whose two shots count
         # as one whole pass even where they start inside the box
-        shots = 0
-        shot = reference._shot
-
-        def counted(b):
-            nonlocal shots
-            shots += 1
-            return shot(b)
-
-        monkeypatch.setattr(reference, "_shot", counted)
+        shots = _counted_shots(monkeypatch)
         # levels come out in order and n_max only ends the loop, so level k
         # costs the difference between the first k + 1 and the first k
         totals = [0]
         for n_max in range(1, 6):
-            shots = 0
+            shots[0] = 0
             reference.shoot_bound_states(spec, n_max, units=U)
-            assert shots % 2 == 0
-            totals.append(shots // 2)
+            assert shots[0] % 2 == 0
+            totals.append(shots[0] // 2)
         assert max(b - a for a, b in zip(totals, totals[1:])) <= 25
 
     @settings(max_examples=30, deadline=None)
@@ -314,8 +315,7 @@ class TestMatchingRefinement:
 
     def test_counts_refine_where_the_mismatch_shows_no_sign_change(self, bisected, monkeypatch):
         spec, config = _BOXES[1]
-        match = reference._match
-        monkeypatch.setattr(reference, "_match", lambda *args: (match(*args)[0], 1.0))
+        monkeypatch.setattr(reference, "_mismatch", lambda *args: 1.0)
         levels = reference.shoot_bound_states(spec, 4, config, U)
         for lv, old in zip(levels, bisected[repr((spec, config))]):
             assert abs(lv.energy - old) <= 2.0 * config.energy_tol * (1.0 + abs(old))
@@ -328,9 +328,9 @@ class TestMatchingRefinement:
         u, h = reference._potential_on_grid(spec, grid, units), grid[1] - grid[0]
         energy = reference.shoot_bound_states(spec, 1, units=units)[0].energy
         hk = h * math.pi
-        assert abs(reference._match(u, energy, h, units, m, hk)[1]) < 1e-8
-        below = reference._match(u, energy - 1e-3, h, units, m, hk)[1]
-        above = reference._match(u, energy + 1e-3, h, units, m, hk)[1]
+        assert abs(reference._mismatch(u, energy, h, units, m, hk)) < 1e-8
+        below = reference._mismatch(u, energy - 1e-3, h, units, m, hk)
+        above = reference._mismatch(u, energy + 1e-3, h, units, m, hk)
         assert below * above < 0.0
 
 
@@ -359,14 +359,13 @@ class TestMismatchOnY:
     def test_agrees_with_the_shots_on_psi(self, spec, monkeypatch):
         # each level's own box, matching point and hk, as the refinement used them
         groups = {}
-        match = reference._match
+        mismatch = reference._mismatch
 
         def recorded(u, E, h, units, m, hk):
-            if hk != 1.0:  # the refinement's calls; counts pass hk = 1
-                groups.setdefault((id(u), m, hk), ((u, h, m, hk), []))[1].append(E)
-            return match(u, E, h, units, m, hk)
+            groups.setdefault((id(u), m, hk), ((u, h, m, hk), []))[1].append(E)
+            return mismatch(u, E, h, units, m, hk)
 
-        monkeypatch.setattr(reference, "_match", recorded)
+        monkeypatch.setattr(reference, "_mismatch", recorded)
         levels = reference.shoot_bound_states(spec, 4, units=U)
         for lv in levels:
             # the refinement began with f(lo) and f(hi), so the level lies
@@ -374,7 +373,7 @@ class TestMismatchOnY:
             ((u, h, m, hk),) = [s for s, tried in groups.values() if min(tried) <= lv.energy <= max(tried)]
             for f in (1.0, 1.0 - 1e-3, 1.0 + 1e-3, 1.0 - 1e-6, 1.0 + 1e-6):
                 E = lv.energy * f
-                old, new = _psi_mismatch(u, E, h, U, m, hk), match(u, E, h, U, m, hk)[1]
+                old, new = _psi_mismatch(u, E, h, U, m, hk), mismatch(u, E, h, U, m, hk)
                 assert abs(new - old) <= 1e-9
                 if abs(old) > 1e-6:
                     assert (new > 0.0) == (old > 0.0)
@@ -388,14 +387,13 @@ class TestTrimmedShots:
         # each level's own trimmed box, matching point and hk, as the refinement
         # used them; the trimmed box is a view of the whole one
         groups = {}
-        match = reference._match
+        mismatch = reference._mismatch
 
         def recorded(u, E, h, units, m, hk):
-            if hk != 1.0:  # the refinement's calls; counts pass hk = 1
-                groups.setdefault((id(u), m, hk), ((u, h, m, hk), []))[1].append(E)
-            return match(u, E, h, units, m, hk)
+            groups.setdefault((id(u), m, hk), ((u, h, m, hk), []))[1].append(E)
+            return mismatch(u, E, h, units, m, hk)
 
-        monkeypatch.setattr(reference, "_match", recorded)
+        monkeypatch.setattr(reference, "_mismatch", recorded)
         levels = reference.shoot_bound_states(spec, 4, units=U)
         skipped = 0
         for lv in levels:
@@ -405,12 +403,63 @@ class TestTrimmedShots:
             skipped += len(whole) - len(u)
             for f in (1.0, 1.0 - 1e-3, 1.0 + 1e-3, 1.0 - 1e-6, 1.0 + 1e-6):
                 E = lv.energy * f
-                old, new = match(whole, E, h, U, m + start, hk)[1], match(u, E, h, U, m, hk)[1]
+                old, new = mismatch(whole, E, h, U, m + start, hk), mismatch(u, E, h, U, m, hk)
                 assert abs(new - old) <= 1e-10
                 if abs(old) > 1e-6:
                     assert (new > 0.0) == (old > 0.0)
         # the square and trig wells have no decaying tail to cut
         assert (skipped > 0) == (spec.kind not in ("isw", "trig"))
+
+
+def _ladder_shots(spec):
+    """The refinement's setup on each rung floor + scale 2^j, j = 0..4, of the ladder: the rung's
+    box trimmed about the matching point at the rung, and energies up to the rung."""
+    floor, scale = potentials.u_min(spec), spec.energy_scale(U)
+    for j in range(5):
+        top = floor + scale * 2.0 ** j
+        grid = reference._build_grid(spec, top, reference.NumerovConfig(), U)
+        u, h = reference._potential_on_grid(spec, grid, U), grid[1] - grid[0]
+        hk = h * math.sqrt(2.0 * U.mass * (top - floor)) / U.hbar
+        for f in (0.1, 0.4, 0.7, 1.0):
+            E = floor + f * (top - floor)
+            m = int(np.flatnonzero(u[1:-1] <= max(E, u[1:-1].min()))[-1]) + 1
+            m = min(max(m, 2), len(u) - 4)
+            start, stop = reference._live_span(u, top, h, U, m, m)
+            yield u[start:stop], E, h, m - start, hk
+
+
+class TestLinearEnds:
+    # both kernels round differently; on the isw and trig boxes, whose shots run the whole box,
+    # each is up to 1e-11 from the same recurrence in 64-bit-mantissa arithmetic
+    TOL = 1e-10
+
+    @pytest.mark.parametrize("spec", _DEFAULT_WELLS, ids=repr)
+    def test_ends_are_the_shots_values_up_to_a_positive_factor(self, spec):
+        for u, E, h, m, _ in _ladder_shots(spec):
+            _, b = reference._weights(u, E, h, U)
+            for steps in (b[:m], b[:m:-1]):
+                shot = reference._shot(steps.tolist())
+                assert reference._shot(memoryview(steps)) == shot
+                (y0, y1), (_, s0, s1) = reference._ends(memoryview(steps)), shot
+                norm = math.hypot(y0, y1) * math.hypot(s0, s1)
+                assert abs(y0 * s1 - y1 * s0) <= self.TOL * norm and y0 * s0 + y1 * s1 > 0.0
+
+    @pytest.mark.parametrize("spec", _DEFAULT_WELLS, ids=repr)
+    def test_mismatch_is_the_matched_mismatch(self, spec):
+        for u, E, h, m, hk in _ladder_shots(spec):
+            assert abs(reference._mismatch(u, E, h, U, m, hk) - reference._match(u, E, h, U, m, hk)[1]) <= self.TOL
+
+    def test_overflowing_ends_fall_back_to_the_ratio_kernel(self):
+        # c = 1 + h^2 g / 12 is a multiple of 2^-53 where it is below 1/2, so it cannot
+        # come nearer 0; at about 1e-14 on the 30 points next to the left wall, b is
+        # about 1.2e15 there and y passes 1e308 on the way to the matching point
+        u = np.zeros(101)
+        u[1:31] = 6.0 * (1.0 - 1e-14)  # c = 1 - u / 6 at E = 0 with h = hbar = m = 1
+        c, b = reference._weights(u, 0.0, 1.0, U)
+        assert 0.0 < c[1:31].max() < 1e-13
+        assert not math.isfinite(sum(reference._ends(memoryview(b[:60]))))
+        expected = reference._match(u, 0.0, 1.0, U, 60, 0.5)[1]
+        assert math.isfinite(expected) and reference._mismatch(u, 0.0, 1.0, U, 60, 0.5) == expected
 
 
 # -- the float recurrence against the numpy loop it replaced -----------------
@@ -622,7 +671,7 @@ class TestTrimmedCounts:
 
         monkeypatch.setattr(reference, "_shot", counted)
         assert _stored_count(u, E, h, U) == count
-        assert reference._count(u, E, h, U) == count
+        assert reference._count(u, E, h, U, reference._count_span(u, E, h, U)) == count
         assert steps < len(u) - 2  # the walls' tails were cut
 
     @settings(max_examples=60, deadline=None)
@@ -634,7 +683,10 @@ class TestTrimmedCounts:
         u = reference._potential_on_grid(spec, grid, units)
         h, E = grid[1] - grid[0], floor + f * rung * scale
         assume(reference._stencil(u, E, h, units)[1:].min() > 0.0)
-        assert reference._count(u, E, h, units) == _stored_count(u, E, h, units)
+        count = _stored_count(u, E, h, units)
+        # the span of E itself, and the rung's, which the ladder gives every count on the rung
+        for top in (E, floor + rung * scale):
+            assert reference._count(u, E, h, units, reference._count_span(u, top, h, units)) == count
 
 
 class TestStandardStep:
