@@ -9,11 +9,10 @@ keep the bracket and bound the work where interpolation fails.
 
 Brackets of x come from one sign-change rule, `sign_changes`, applied to a
 scan given as arrays of abscissae and values with NaN at the points that
-could not be evaluated. `bracket_roots` scans a callable with it, on a
-uniform or a geometric grid, and the solver applies it to E - U read from
-its table of U. Brackets of an energy level come from the geometric scan
-of its window or from one upward search, `_climb`: steps that grow from a
-point below the level until the residual turns, and halve once they
+could not be evaluated (`tabulate` builds such values from a callable);
+the solver applies it to E - U read from its table of U. Brackets of an
+energy level come from one upward search, `bracket_roots`: steps that grow
+from a point below the level until the residual turns, and halve once they
 overshoot the points where it can be evaluated.
 
 Every integral (S, Q, the norm) is one globally adaptive Gauss-Kronrod 7-15
@@ -43,7 +42,6 @@ from .errors import (
 _EVAL_ERRORS = (TurnpointError, ArithmeticError, ValueError, OverflowError)
 
 _BISECT_MAX_ITER = 200
-_LADDER_STEPS = 13
 _CLIMB_STEPS = 60
 
 
@@ -78,33 +76,6 @@ class Tolerances:
                 raise InvalidInput(f"{name} must be positive and finite, got {value}")
         if self.quad_max_depth < 10:
             raise InvalidInput("quad_max_depth must be >= 10")
-
-
-def bracket_roots(
-    f: Callable[[float], float], lo: float, hi: float, n_grid: int = 256, geometric: bool = False
-) -> list[Bracket]:
-    """Sign-change intervals of f, lowest first, on a scan of [lo, hi] in
-    n_grid steps: uniform, or with geometric=True at lo and at
-    lo + (hi - lo) * 10^-j for j = n_grid - 1, ..., 1, 0.
-
-    The geometric scan takes f at hi only when the points below show no
-    sign change: it is meant for residuals with a root near lo, which cost
-    the most at the top of their window (an energy above a whole expression
-    well runs every turning-point grid before it is refused).
-
-    Points where f raises are skipped and split the scan. An empty list
-    means no sign change was seen; that is not an error here.
-    """
-    if not lo < hi:
-        raise ValueError(f"bracket_roots requires lo < hi, got [{lo}, {hi}]")
-    if n_grid < 2:
-        raise ValueError("n_grid must be >= 2")
-    if not geometric:
-        xs = [lo + (hi - lo) * i / n_grid for i in range(n_grid + 1)]
-        return sign_changes(xs, tabulate(f, xs))
-    xs = [lo] + [lo + (hi - lo) * 10.0 ** -j for j in range(n_grid - 1, -1, -1)]
-    below = tabulate(f, xs[:-1])
-    return sign_changes(xs[:-1], below) or sign_changes(xs[-2:], np.append(below[-1:], tabulate(f, xs[-1:])))
 
 
 def tabulate(f: Callable[[float], float], xs: Sequence[float]) -> np.ndarray:
@@ -277,42 +248,31 @@ def _kronrod(f: Callable[[float], float], a: float, b: float) -> tuple[float, fl
 def solve_self_consistent(
     g: Callable[[float], float], e_lo: float, e_hi: float, tol: Tolerances | None = None
 ) -> float:
-    """Root E* of the residual g on [e_lo, e_hi] with |g(E*)| <= energy_rel * (1 + E*).
+    """Root E* of the residual g above e_lo with |g(E*)| <= energy_rel * (1 + E*).
 
-    Levels sit near the low end of the window, so the bracket is the lowest
-    sign change of a 14-point geometric scan up from e_lo (`bracket_roots`
-    with geometric=True), or when it sees none, of a tenfold `_climb` that
-    goes on from its highest finite g < 0 (from e_lo if none: the level may
-    sit below the first finite g >= 0). `_refine` then refines the
-    root inside it. The root is the lowest sign change only at the
-    resolution of that search: a bracket of the scan may span up to nine
-    tenths of the window.
+    g must be negative, or not evaluable, below the root: every solver
+    residual is. Levels sit near the low end of the window [e_lo, e_hi], so
+    the bracket is the first sign change of a tenfold `bracket_roots` from
+    e_lo whose first step is (e_hi - e_lo) * 1e-12; e_hi only sets that
+    step, and the search may pass it. `_refine` then refines the root
+    inside it. The root is the lowest sign change only at the resolution of
+    that search: one tenfold step may pass over two of them.
     """
     tol = tol or Tolerances()
-    below = [e_lo, math.nan]  # the highest scanned E with a finite g < 0, and g there
-
-    def scanned(E: float) -> float:
-        f = g(E)
-        if -math.inf < f < 0.0:  # the scan goes up
-            below[:] = E, f
-        return f
-
-    brackets = bracket_roots(scanned, e_lo, e_hi, _LADDER_STEPS, geometric=True)
-    # the ladder's next point is e_lo + 10 (E - e_lo), or its first gap above E = e_lo
-    step = 9.0 * (below[0] - e_lo) or (e_hi - e_lo) * 10.0 ** (1 - _LADDER_STEPS)
-    return _refine(g, brackets[0] if brackets else _climb(g, *below, step, 10.0), tol)
+    return _refine(g, bracket_roots(g, e_lo, math.nan, (e_hi - e_lo) * 1e-12, 10.0), tol)
 
 
-def _climb(g: Callable[[float], float], lo: float, f_lo: float, step: float, growth: float) -> Bracket:
-    """The first sign change of g above lo, where g(lo) = f_lo < 0 or is NaN
-    (not known): g at lo + step, then while g < 0 at the next step, growth
-    times longer, from there. A point where g raises or is not finite is
-    stepped over while no finite g is known (the bottom of a well too narrow
-    to resolve). Above a finite g < 0 it stops the climb (the climb overshot
-    the rim), as does a first finite g >= 0 (the level may sit just above
-    the bottom): from then on each step is half the last, so the points
-    close in on the stop. ConvergenceFailure after 60 points; its message
-    counts the skipped points by cause.
+def bracket_roots(g: Callable[[float], float], lo: float, f_lo: float, step: float, growth: float) -> Bracket:
+    """The one upward bracket search of every level: the first sign change
+    of g above lo, where g(lo) = f_lo < 0 or is NaN (not known). g at
+    lo + step, then while g < 0 at the next step, growth times longer, from
+    there. A point where g raises or is not finite is stepped over while no
+    finite g is known (the bottom of a well too narrow to resolve). Above a
+    finite g < 0 it stops the climb (the climb overshot the rim), as does a
+    first finite g >= 0 (the level may sit just above the bottom): from
+    then on each step is half the last, so the points close in on the stop.
+    ConvergenceFailure after 60 points; its message counts the skipped
+    points by cause.
     """
     start, top, stopped, causes = lo, lo, False, {}
     for tried in range(1, _CLIMB_STEPS + 1):

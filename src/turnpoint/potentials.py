@@ -116,7 +116,10 @@ class PotentialSpec:
         of the energy brackets of the level solves and the Numerov oracle."""
         if not math.isfinite(units.hbar * units.hbar):
             raise InvalidInput(f"hbar={units.hbar}: hbar^2 overflows")
-        w = self.scale(units)
+        try:
+            w = self.scale(units)
+        except ArithmeticError as exc:
+            raise InvalidInput(f"{self.kind}: no length scale for these units ({exc})") from None
         denom = units.mass * w * w
         if not (denom and math.isfinite(units.hbar * units.hbar / denom)):
             raise InvalidInput(f"{self.kind}: length scale {w} gives no finite energy scale hbar^2/(m w^2)")
@@ -255,7 +258,12 @@ class VWell(PotentialSpec):
 
     def ground_estimate(self, units):
         # 1.5 * (1/(2 pi))^(1/3) ~= 0.813 in units of (hbar^2 U0^2 / m)^(1/3)
-        return 1.5 * (0.5 / math.pi) ** (1.0 / 3.0) * (units.hbar * units.hbar * self.u0 ** 2 / units.mass) ** (1.0 / 3.0)
+        try:
+            unit = (units.hbar * units.hbar * self.u0 ** 2 / units.mass) ** (1.0 / 3.0)
+        except OverflowError:  # U0^2 alone: the same unit is hbar^2 / (m w^2) for the length scale w
+            w = self.scale(units)
+            unit = units.hbar * units.hbar / (units.mass * w * w)
+        return 1.5 * (0.5 / math.pi) ** (1.0 / 3.0) * unit
 
     def turning_points(self, E, units):
         x2 = E / self.u0
@@ -335,7 +343,9 @@ class QuadraticInverse(PotentialSpec):
         delta = E * E - 4.0 * self.a * self.b
         if delta <= 0.0:
             raise InvalidEnergy(f"E={E}: discriminant E^2 - 4ab = {delta} <= 0")
-        inner = math.sqrt((E - math.sqrt(delta)) / (2.0 * self.a))
+        # x^2 = (E -+ sqrt(delta)) / (2a); the smaller root as 2b / (E + sqrt(delta)),
+        # as the difference cancels when E^2 >> 4ab
+        inner = math.sqrt(2.0 * self.b / (E + math.sqrt(delta)))
         outer = math.sqrt((E + math.sqrt(delta)) / (2.0 * self.a))
         return (TurningPoints(-outer, -inner), TurningPoints(inner, outer))
 

@@ -7,12 +7,12 @@ K*d = 2*n*pi (antisymmetric, sine factor) and K*d = n*pi (general, cosine for
 odd n, sine for even n), with K = m1*sqrt(E) and d the turning-point width
 evaluated at the same energy. Widths depend on the unknown energy, so every
 level is a root of a scalar residual, refined by Brent's method rather than
-by fixed-point iteration (the right-hand sides need not contract). A level
-solve brackets it by a geometric energy scan up from the bottom of the
-window, or by a tenfold climb past it (`numerics.solve_self_consistent`).
-A spectrum solve (`_solve_spectrum`) does so for the lowest level only, and
-climbs to each level above it from the level below, by doubling steps of
-the last gap (`numerics._climb`).
+by fixed-point iteration (the right-hand sides need not contract). Every
+bracket comes from one upward search, `numerics.bracket_roots`. A level
+solve climbs from the bottom of the energy window by tenfold steps
+(`numerics.solve_self_consistent`). A spectrum solve (`_solve_spectrum`)
+does so for the lowest level only, and climbs to each level above it from
+the level below, by doubling steps of the last gap.
 
 Wells without closed-form turning points (expressions, the step) find them
 from sign changes of E - U(x) on a grid. U does not depend on E, so a
@@ -38,6 +38,7 @@ from .errors import (
     InvalidLevel,
     InvalidRegion,
     NoBoundRegion,
+    QuadratureDivergence,
 )
 from .numerics import Tolerances
 from .potentials import PotentialSpec, TurningPoints, UnitSystem
@@ -121,15 +122,16 @@ class _UTable:
     of a spectrum solve. A scan on n_grid points reads every
     (4096 // n_grid)-th entry: the 257-point grid first, then the odd
     multiples of 8, 4, 2 and 1, each filled by one `evaluate_grid` call when
-    a scan first needs it. That scan computes its abscissae with
-    bracket_roots' formula, and i / n_grid == (i * 4096 / n_grid) / 4096
+    a scan first needs it. That scan computes its abscissae as
+    lo + (hi - lo) * i / n_grid, and i / n_grid == (i * 4096 / n_grid) / 4096
     exactly, so the shared entries sit at bit-identical x; an entry whose x
     differs (a grid outside the normal float range) is evaluated again. The
     abscissae and U of each grid are kept after its first scan, so a later
     energy only subtracts. On the wells that scan, expressions and the step,
     `evaluate_grid` gives NaN exactly where `evaluate` raises and its bits
     elsewhere, so scanning the table gives exactly the brackets
-    bracket_roots gives on f(x) = E - U(x).
+    `numerics.sign_changes` gives over `numerics.tabulate` of
+    f(x) = E - U(x) at those abscissae.
     """
 
     def __init__(self, spec: PotentialSpec, units: UnitSystem):
@@ -212,6 +214,11 @@ class _Shared:
         self.tp_tol = replace(tol, root_abs=min(tol.root_abs, 1e-14), root_rel=min(tol.root_rel, tol.energy_rel * 1e-3))
         floor, scale = potentials.u_min(spec), spec.energy_scale(units)
         self.e_lo, self.e_hi = floor + 1e-9 * scale, floor + 1e3 * scale
+        if not self.e_lo < self.e_hi:
+            raise ConvergenceFailure(
+                f"u_min={floor} swamps the energy scale {scale}: the energy window "
+                f"u_min + [1e-9, 1e3] * scale rounds to [{self.e_lo}, {self.e_hi}]"
+            )
 
 
 def s_integral(
@@ -269,7 +276,7 @@ def excited_energy(
 ) -> EnergyLevel:
     """Self-consistent solve of K(E) * d(E) = q * pi for the given branch;
     with `_below` = (E', residual at E', step) for a level E' below it,
-    bracketed upward from E' first (`numerics._climb`), else from e_lo."""
+    bracketed upward from E' first (`numerics.bracket_roots`), else from e_lo."""
     units = units or UnitSystem()
     tol = tol or Tolerances()
     shared = _shared or _Shared(spec, units, tol)
@@ -283,7 +290,7 @@ def excited_energy(
         return m1 * math.sqrt(E) * d - target
 
     try:
-        bracket = _below and numerics._climb(residual, *_below, 2.0)
+        bracket = _below and numerics.bracket_roots(residual, *_below, 2.0)
     except ConvergenceFailure:
         bracket = None
     if bracket:
@@ -373,7 +380,10 @@ def normalize(desc: WaveFunctionDescriptor, tol: Tolerances | None = None) -> Wa
     def density(x: float) -> float:
         return (desc.trig_factor(x) * math.exp(-desc.q_eval(x))) ** 2
 
-    norm_sq = numerics.integrate(density, desc.tp.x1, desc.tp.x2, tol)
+    try:
+        norm_sq = numerics.integrate(density, desc.tp.x1, desc.tp.x2, tol)
+    except OverflowError as exc:  # exp(-Q) past the float range
+        raise QuadratureDivergence(f"norm integrand is not finite on [{desc.tp.x1}, {desc.tp.x2}]: {exc}") from None
     if norm_sq < 1e-300:
         raise DegenerateNorm(f"norm integral {norm_sq} too small")
     return replace(desc, amplitude=1.0 / math.sqrt(norm_sq))

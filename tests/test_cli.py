@@ -144,6 +144,15 @@ class TestSolve:
         for a, b in zip(got["levels"], want["levels"]):
             assert a["energy"] == pytest.approx(b["energy"], rel=1e-10)
 
+    @pytest.mark.parametrize("argv", [
+        ["axb:a=7.63e+17,b=1.495e-13", "--n-max", "3", "--variant", "symmetric"],
+        ["axb:a=6.237e+25,b=7.95e-17", "--n-max", "2", "--variant", "all"],
+    ])
+    def test_axb_far_above_its_minimum_solves(self, argv, capsys):
+        # E^2 >> 4ab at these levels: the inner turning point must not cancel
+        doc = run_json(["solve", "--potential", *argv], capsys)
+        assert doc["levels"] and all(math.isfinite(lv["energy"]) for lv in doc["levels"])
+
     def test_a_domain_end_is_still_not_a_turning_point(self, capsys):
         code, out, _ = run(["solve", "--potential", "expr:0*x;domain=0..1", "--n-max", "1", "--variant", "general"], capsys)
         assert (code, out) == (3, "")
@@ -507,6 +516,32 @@ class TestExitCodes:
         code, out, err = run(["solve", "--potential", spec, "--hbar", hbar, "--n-max", "1"], capsys)
         assert (code, out) == (4, "")
         assert err == f"turnpoint: invalid input: hbar={float(hbar)}: hbar^2 overflows\n"
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("spec", ["axb:a=1e20,b=1e20", "expr:x^2-1e20;domain=-10..10"])
+    def test_energy_window_that_rounds_shut_is_3(self, spec, capsys):
+        # u_min + 1e-9 * scale and u_min + 1e3 * scale round to the same float
+        code, out, err = run(["solve", "--potential", spec], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("turnpoint: convergence failure: u_min=") and "swamps the energy scale" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["--potential", "sho:omega=1e-300", "--mass", "1e-300"],
+        ["--potential", "vwell:u0=3.765e-28", "--hbar", "1.164e-07", "--mass", "3.75e-297"],
+    ])
+    def test_length_scale_that_cannot_be_computed_is_4(self, argv, capsys):
+        # m * omega (sho) and m * u0 (vwell) underflow to 0 in the length scale
+        code, out, err = run(["solve", *argv], capsys)
+        assert (code, out) == (4, "")
+        assert err.startswith("turnpoint: invalid input: ") and "no length scale" in err
+        assert err.count("\n") == 1
+
+    def test_norm_density_past_the_float_range_is_3(self, capsys):
+        argv = ["--potential", "parab:u0=2.425e+38,a=0.004617", "--n-max", "2", "--variant", "general"]
+        code, out, err = run(["wavefunction", *argv, "--n", "1", "--samples", "5"], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("turnpoint: convergence failure: norm integrand is not finite")
         assert err.count("\n") == 1
 
     def test_unbound_potential_is_3(self, capsys):

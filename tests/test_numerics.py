@@ -18,20 +18,28 @@ from turnpoint.errors import (
 from turnpoint.numerics import Bracket, Tolerances
 
 
+def scan(f, lo, hi, n):
+    """Sign changes of f on the uniform scan lo + (hi - lo) * i / n, i = 0..n."""
+    xs = [lo + (hi - lo) * i / n for i in range(n + 1)]
+    return numerics.sign_changes(xs, numerics.tabulate(f, xs))
+
+
 class TestBracketRoots:
+    """Brackets of x: sign changes of a uniform scan, as the U table gives them."""
+
     def test_single_root(self):
-        brackets = numerics.bracket_roots(lambda x: x - 1.5, 0.0, 3.0, 64)
+        brackets = scan(lambda x: x - 1.5, 0.0, 3.0, 64)
         assert len(brackets) == 1
         assert brackets[0].lo <= 1.5 <= brackets[0].hi
 
     def test_two_roots_of_parabola(self):
-        brackets = numerics.bracket_roots(lambda x: 1.0 - x * x, -2.0, 2.0, 64)
+        brackets = scan(lambda x: 1.0 - x * x, -2.0, 2.0, 64)
         assert len(brackets) == 2
         assert brackets[0].lo <= -1.0 <= brackets[0].hi
         assert brackets[1].lo <= 1.0 <= brackets[1].hi
 
     def test_no_roots(self):
-        assert numerics.bracket_roots(lambda x: 1.0 + x * x, -2.0, 2.0, 64) == []
+        assert scan(lambda x: 1.0 + x * x, -2.0, 2.0, 64) == []
 
     def test_skips_unevaluable_points(self):
         def f(x):
@@ -39,23 +47,8 @@ class TestBracketRoots:
                 raise ZeroDivisionError
             return x - 0.75
 
-        brackets = numerics.bracket_roots(f, -1.0, 1.0, 64)
+        brackets = scan(f, -1.0, 1.0, 64)
         assert len(brackets) == 1
-
-    def test_geometric_scan_leaves_hi_for_last(self):
-        seen = []
-
-        def f(x):
-            seen.append(x)
-            return x - 0.5
-
-        brackets = numerics.bracket_roots(f, 0.0, 100.0, 6, geometric=True)
-        assert seen == [0.0, 1e-3, 1e-2, 0.1, 1.0, 10.0]
-        assert [(b.lo, b.hi) for b in brackets] == [(0.1, 1.0)]
-        seen.clear()
-        brackets = numerics.bracket_roots(f, 0.0, 1.0, 6, geometric=True)
-        assert seen == [0.0, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0]
-        assert [(b.lo, b.hi) for b in brackets] == [(0.1, 1.0)]
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -3.0, math.nan, math.inf,
@@ -69,7 +62,7 @@ class TestBracketRoots:
             return v
 
         n = len(values) - 1
-        got = [(b.lo, b.hi, b.f_lo, b.f_hi) for b in numerics.bracket_roots(f, 0.0, float(n), n)]
+        got = [(b.lo, b.hi, b.f_lo, b.f_hi) for b in scan(f, 0.0, float(n), n)]
         assert got == sign_change_loop(values)
 
 
@@ -281,41 +274,20 @@ class TestSolveSelfConsistent:
             "25 for NoBoundRegion (found 0 turning point(s))"
         )
 
-    def test_the_climb_goes_on_from_the_highest_scanned_g_below_0(self):
-        # g < 0 at 0.4 and nowhere above: the climb starts there, on the ladder's
-        # next point 4, so no energy of the scanned window is tried twice below it
+    def test_a_floor_search_stops_at_its_first_g_at_least_0(self):
+        # tenfold steps from e_lo, the first (e_hi - e_lo) * 1e-12: g is taken
+        # up to its first value >= 0 and then only inside the bracket below it
         calls = []
 
         def g(E):
             calls.append(E)
-            if E < 0.3:
-                raise AmbiguousWells(f"found 4 turning points at E={E}")
-            if E >= 2.0:
-                raise NoBoundRegion("found 0 turning point(s)")
-            return -1.0
+            return E - 3.0
 
-        with pytest.raises(ConvergenceFailure) as info:
-            numerics.solve_self_consistent(g, 0.0, 4.0, Tolerances())
-        assert str(info.value) == (
-            "no sign change of the residual on [0.4, 4.0]; the climb skipped 27 of its 60 energies: "
-            "27 for NoBoundRegion (found 0 turning point(s))"
-        )
-        assert min(calls[14:]) > 0.4
-
-    def test_no_climb_point_falls_inside_the_scanned_window(self):
-        # g < 0 on all of [0, 1]: the climb goes on with the scan's tenfold
-        # ladder from 1: 14 scan points, 10 and 100, then the refinement
-        calls = []
-
-        def g(E):
-            calls.append(E)
-            return E - 30.0
-
-        root = numerics.solve_self_consistent(g, 0.0, 1.0, Tolerances())
-        assert root == pytest.approx(30.0, rel=1e-10)
-        assert calls[:14] == [0.0] + [10.0 ** -j for j in range(12, -1, -1)]
-        assert calls[14:16] == [10.0, 100.0] and min(calls[14:]) > 1.0
-        assert len(calls) == 18
+        root = numerics.solve_self_consistent(g, 0.0, 10.0, Tolerances())
+        assert root == pytest.approx(3.0, rel=1e-10)
+        first = next(i for i, E in enumerate(calls) if E >= 3.0)
+        assert first == 12 and calls[0] == 1e-11
+        assert all(calls[first - 1] <= E <= calls[first] for E in calls[first:])
 
     def test_failure_without_skipped_points_keeps_its_message(self):
         # g > 0 everywhere: the climb closes in on its start from above
@@ -323,32 +295,18 @@ class TestSolveSelfConsistent:
             numerics.solve_self_consistent(lambda E: 1.0 + E * E, 0.1, 1.0, Tolerances())
         assert str(info.value) == "no sign change of the residual on [0.1, 0.10000000000090001]"
 
-    def test_a_ladder_success_evaluates_g_14_times(self, monkeypatch):
-        # the 14 points of the geometric scan bracket the root; nothing else
-        # is evaluated before the refinement
-        calls = []
-
-        def g(E):
-            calls.append(E)
-            if E < 1.0:
-                raise AmbiguousWells("below the barrier")
-            return E - 3.0
-
-        monkeypatch.setattr(numerics, "_refine", lambda g, bracket, tol: bracket)
-        bracket = numerics.solve_self_consistent(g, 0.1, 10.0, Tolerances())
-        assert (bracket.lo, bracket.hi, len(calls)) == (pytest.approx(1.09), 10.0, 14)
-
     def test_a_negative_window_climbs_past_zero(self):
-        # the ladder on [-5, -4.9] sees g < 0 only; the climb steps by offsets
-        # from -5, so it rises through E = 0 to the root at 2
+        # the climb from -5 steps by offsets from the points below, so it
+        # rises through E = 0 to the root at 2
         root = numerics.solve_self_consistent(lambda E: E - 2.0, -5.0, -4.9, Tolerances())
         assert root == pytest.approx(2.0, rel=1e-10)
 
     @pytest.mark.parametrize("g", [
         # one sign change at 2 and a double root at 7, in the same bracket
         lambda E: (E - 2.0) * (E - 7.0) ** 2,
-        # sign changes at 2 and 50, in neighbouring brackets of the ladder
-        lambda E: (E - 2.0) * (E - 50.0),
+        # sign changes at 2 and 50, with g < 0 below the lower one, as a
+        # solver residual has
+        lambda E: -(E - 2.0) * (E - 50.0),
     ], ids=["double-root-above", "two-sign-changes"])
     def test_root_at_2_below_a_root_at_7_or_50(self, g):
         root = numerics.solve_self_consistent(g, 0.1, 1000.0, Tolerances())
@@ -375,9 +333,11 @@ class TestSolveSelfConsistent:
 
 
 class TestClimb:
+    """`bracket_roots`, the upward search that brackets every level."""
+
     def test_doubles_the_step_until_the_residual_turns(self):
         # steps of 1, 2 and 4 from 0: g at 1, 3 and 7, the first >= 0 at 7
-        b = numerics._climb(lambda E: E - 5.0, 0.0, -5.0, 1.0, 2.0)
+        b = numerics.bracket_roots(lambda E: E - 5.0, 0.0, -5.0, 1.0, 2.0)
         assert (b.lo, b.hi, b.f_lo, b.f_hi) == (3.0, 7.0, -2.0, 2.0)
 
     def test_a_point_that_raises_gives_no_bracket(self):
@@ -392,7 +352,7 @@ class TestClimb:
             return E - 5.0
 
         with pytest.raises(ConvergenceFailure, match="skipped 54 of its 60 energies: 54 for NoBoundRegion"):
-            numerics._climb(g, 0.0, -5.0, 1.0, 2.0)
+            numerics.bracket_roots(g, 0.0, -5.0, 1.0, 2.0)
         assert calls[:7] == [1.0, 3.0, 7.0, 5.0, 4.0, 3.5, 3.25]
         assert max(calls[3:]) < 7.0
 
@@ -404,7 +364,7 @@ class TestClimb:
             return -1.0
 
         with pytest.raises(ConvergenceFailure, match=r"^no sign change of the residual on \[0.0, "):
-            numerics._climb(g, 0.0, -1.0, 1.0, 2.0)
+            numerics.bracket_roots(g, 0.0, -1.0, 1.0, 2.0)
         assert len(calls) == 60
 
     @pytest.mark.parametrize("bad", [-math.inf, math.nan, "raise"])
@@ -418,7 +378,7 @@ class TestClimb:
                 return bad
             return E - 30.0
 
-        b = numerics._climb(g, 0.0, math.nan, 0.01, 10.0)
+        b = numerics.bracket_roots(g, 0.0, math.nan, 0.01, 10.0)
         assert (b.lo, b.hi) == (pytest.approx(11.11), pytest.approx(111.11))
 
     def test_halves_toward_an_unevaluable_top(self):
@@ -429,7 +389,7 @@ class TestClimb:
                 raise NoBoundRegion("found 0 turning point(s)")
             return E - 6.9
 
-        b = numerics._climb(g, 0.0, -6.9, 1.0, 2.0)
+        b = numerics.bracket_roots(g, 0.0, -6.9, 1.0, 2.0)
         assert b.lo < 6.9 <= b.hi <= 7.0
         assert numerics._refine(g, b, Tolerances()) == pytest.approx(6.9, rel=1e-12)
 
@@ -441,5 +401,5 @@ class TestClimb:
                 raise AmbiguousWells("found 4 turning points")
             return E - 0.6
 
-        b = numerics._climb(g, 0.0, math.nan, 0.01, 10.0)
+        b = numerics.bracket_roots(g, 0.0, math.nan, 0.01, 10.0)
         assert 0.4 <= b.lo < 0.6 <= b.hi < 1.11

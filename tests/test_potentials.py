@@ -247,6 +247,16 @@ class TestAnalyticTurningPoints:
         assert neg.x2 < 0.0 < pos.x1
         assert neg.x1 == pytest.approx(-pos.x2, rel=1e-14)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-30.0, 30.0), st.floats(-30.0, 30.0), st.floats(2.0, 10.0))
+    def test_axb_inner_point_is_exact_far_above_the_minimum(self, log_a, log_b, log_ratio):
+        # E >> u_min = 2 sqrt(ab): E - sqrt(E^2 - 4ab) would cancel in the inner root
+        spec = QuadraticInverse(a=10.0 ** log_a, b=10.0 ** log_b)
+        E = spec.u_min() * 10.0 ** log_ratio
+        for tp in potentials.analytic_turning_points(spec, E, U):
+            for x in (tp.x1, tp.x2):
+                assert abs(potentials.evaluate(spec, x, U) - E) <= 1e-14 * E
+
     def test_none_for_step_and_expression(self):
         assert potentials.analytic_turning_points(Step(u0=1.0), 2.0, U) is None
         expr = parse_potential_spec("expr:x^2;domain=-5..5")
@@ -333,6 +343,11 @@ class TestFamilyHooks:
                 assert spec.ground_estimate(units) is None
         scale = (units.hbar ** 2 * 3.0 ** 2 / units.mass) ** (1.0 / 3.0)
         assert VWell(u0=3.0).ground_estimate(units) == 1.5 * (0.5 / math.pi) ** (1.0 / 3.0) * scale
+
+    def test_vwell_estimate_survives_a_u0_whose_square_overflows(self):
+        # (hbar^2 u0^2 / m)^(1/3) = u0^(2/3) is finite at u0 = 1e224; u0^2 is not
+        estimate = VWell(u0=1e224).ground_estimate(U)
+        assert estimate == pytest.approx(1.5 * (0.5 / math.pi) ** (1.0 / 3.0) * 1e224 ** (2.0 / 3.0), rel=1e-14)
 
     def test_pole_coefficients(self):
         poles = {spec.kind: spec.pole_coeff for spec in self.SIX}

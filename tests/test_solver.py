@@ -336,6 +336,11 @@ def scans(draw):
     return spec, lo, hi, draw(st.lists(st.tuples(energy, _GRIDS), min_size=1, max_size=6))
 
 
+def _scan(f, lo, hi, n):
+    xs = [lo + (hi - lo) * i / n for i in range(n + 1)]
+    return numerics.sign_changes(xs, numerics.tabulate(f, xs))
+
+
 def _key(brackets):
     return [(b.lo.hex(), b.hi.hex(), b.f_lo.hex(), b.f_hi.hex()) for b in brackets]
 
@@ -347,7 +352,7 @@ class TestUTable:
         spec, lo, hi, steps = case
         table = solver._UTable(spec, U)
         for E, n in steps:
-            fresh = numerics.bracket_roots(lambda x: E - potentials.evaluate(spec, x, U), lo, hi, n)
+            fresh = _scan(lambda x: E - potentials.evaluate(spec, x, U), lo, hi, n)
             assert _key(table.brackets(E, n)) == _key(fresh)
 
     def test_grid_points_past_overflow_are_evaluated_again(self):
@@ -360,7 +365,7 @@ class TestUTable:
         spec = parse_potential_spec(f"expr:x - {t!r};domain=0..{hi!r}")
         table = solver._UTable(spec, U)
         for n in (256, 512, 256):
-            fresh = numerics.bracket_roots(lambda x: -potentials.evaluate(spec, x, U), 0.0, hi, n)
+            fresh = _scan(lambda x: -potentials.evaluate(spec, x, U), 0.0, hi, n)
             assert _key(table.brackets(0.0, n)) == _key(fresh)
 
     def test_roadmap_ground_case_stays_under_3000_u_evaluations(self, monkeypatch):
