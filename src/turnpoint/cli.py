@@ -29,7 +29,7 @@ from .errors import (
     TurnpointError,
 )
 from .numerics import Tolerances
-from .potentials import PotentialSpec, UnitSystem, parse_potential_spec, spec_to_dict
+from .potentials import PotentialSpec, UnitSystem, parse_potential_spec
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -132,7 +132,7 @@ def _level_record(lv: solver.EnergyLevel) -> dict:
 def run_solve(config: RunConfig) -> dict:
     ground, levels = _solve_levels(config)
     return {
-        "potential": spec_to_dict(config.potential),
+        "potential": config.potential.to_dict(),
         "units": {"hbar": config.units.hbar, "mass": config.units.mass},
         "ground_state": {
             "energy": ground.energy,
@@ -209,7 +209,7 @@ def run_scatter(u0: float, energies: list[float], x_probe: float, units: UnitSys
     }
 
 
-def run_compare(config: RunConfig, numerov: reference.NumerovConfig | None = None) -> dict:
+def run_compare(config: RunConfig) -> dict:
     """Solve document extended with sorted-order pairing against the
     Numerov reference; indices are explicit on both sides because the
     variant indexing and the node-count indexing disagree."""
@@ -217,12 +217,7 @@ def run_compare(config: RunConfig, numerov: reference.NumerovConfig | None = Non
     ground, levels = doc["ground_state"], doc["levels"]
     erbil_rows = [(f"n={lv['n']}", lv["variant"], lv["energy"]) for lv in levels]
     erbil_rows.sort(key=lambda row: row[2])
-    ref_levels = reference.shoot_bound_states(
-        config.potential,
-        max(len(erbil_rows), 1),
-        numerov or reference.NumerovConfig(),
-        config.units,
-    )
+    ref_levels = reference.shoot_bound_states(config.potential, max(len(erbil_rows), 1), units=config.units)
 
     def row(index: str, variant: str, erbil_value: float, ref: reference.ReferenceLevel) -> dict:
         rel_diff = abs(erbil_value - ref.energy) / max(abs(ref.energy), 1e-300)

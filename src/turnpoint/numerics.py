@@ -18,8 +18,9 @@ overshoot the points where it can be evaluated.
 Every integral (S, Q, the norm) is one globally adaptive Gauss-Kronrod 7-15
 rule, `integrate`: open nodes need no code for walls or endpoint
 singularities, and global halving resolves interior kinks (|x| in S). A
-panel is halved at most quad_max_depth times; that, and narrow panels with
-too large an estimate, are its two QuadratureDivergence exits.
+panel is halved at most 60 times and an integral takes at most 1000
+panels; those, and narrow panels with too large an estimate, are its
+QuadratureDivergence exits.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ _EVAL_ERRORS = (TurnpointError, ArithmeticError, ValueError, OverflowError)
 
 _BISECT_MAX_ITER = 200
 _CLIMB_STEPS = 60
+_QUAD_MAX_DEPTH = 60  # halvings of one panel
+_QUAD_MAX_PANELS = 1000  # panels of one integral; converged ones have needed at most 58
 
 
 @dataclass(frozen=True)
@@ -66,7 +69,6 @@ class Tolerances:
     root_abs: float = 1e-12
     root_rel: float = 1e-10
     quad_rel: float = 1e-10
-    quad_max_depth: int = 60
     energy_rel: float = 1e-10
 
     def __post_init__(self):
@@ -74,8 +76,6 @@ class Tolerances:
             value = getattr(self, name)
             if not (value > 0.0 and math.isfinite(value)):
                 raise InvalidInput(f"{name} must be positive and finite, got {value}")
-        if self.quad_max_depth < 10:
-            raise InvalidInput("quad_max_depth must be >= 10")
 
 
 def tabulate(f: Callable[[float], float], xs: Sequence[float]) -> np.ndarray:
@@ -174,10 +174,12 @@ def integrate(
     The panel with the largest estimate |K15 - G7| is halved until the
     estimates sum to at most quad_rel * |total|. f is never evaluated at a
     panel's ends, so walls and integrable endpoint singularities need no
-    code of their own. Two exits raise QuadratureDivergence: a panel still
-    the worst after quad_max_depth halvings, the most a panel may take; and
-    panels too narrow to halve (their halves' outer nodes would round onto
-    the ends) whose estimates sum to at least sqrt(quad_rel) * |total|.
+    code of their own. Three exits raise QuadratureDivergence: a panel still
+    the worst after _QUAD_MAX_DEPTH halvings, the most a panel may take; a
+    halving past _QUAD_MAX_PANELS panels in all (an estimate that never
+    shrinks, such as noise, would halve panel after panel without end);
+    and panels too narrow to halve (their halves' outer nodes would round
+    onto the ends) whose estimates sum to at least sqrt(quad_rel) * |total|.
     Intervals under about 120 ulps take the midpoint rule.
     """
     tol = tol or Tolerances()
@@ -197,8 +199,10 @@ def integrate(
         if _too_narrow(lo, mid) or _too_narrow(mid, hi):
             narrow.append((value, -neg_err))
             continue
-        if depth == tol.quad_max_depth:
+        if depth == _QUAD_MAX_DEPTH:
             raise QuadratureDivergence(f"quadrature failed to converge on [{lo}, {hi}]")
+        if len(heap) + len(narrow) + 2 > _QUAD_MAX_PANELS:
+            raise QuadratureDivergence(f"quadrature needs more than {_QUAD_MAX_PANELS} panels on [{a}, {b}]")
         total -= value
         for left, right in ((lo, mid), (mid, hi)):
             value, err = _kronrod(f, left, right)

@@ -498,8 +498,3 @@ def parse_potential_spec(text: str) -> PotentialSpec:
         return cls(*(params[k] for k in keys))
     except InvalidInput as exc:
         raise SpecParseError(str(exc)) from None
-
-
-def spec_to_dict(spec: PotentialSpec) -> dict:
-    """JSON-friendly echo of a potential spec."""
-    return spec.to_dict()

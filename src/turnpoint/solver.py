@@ -16,9 +16,9 @@ the level below, by doubling steps of the last gap.
 
 Wells without closed-form turning points (expressions, the step) find them
 from sign changes of E - U(x) on a grid. U does not depend on E, so a
-spectrum solve tabulates U once, on the 4097-point grid that the finest scan
-uses, and every trial energy reads its scans from that table; only the
-root refinements of the turning points (`numerics.bisect`) evaluate U anew.
+spectrum solve tabulates U once on each grid it scans, and every trial
+energy reads its scans from those tables; only the root refinements of the
+turning points (`numerics.bisect`) evaluate U anew.
 """
 
 from __future__ import annotations
@@ -116,49 +116,29 @@ class WaveFunctionDescriptor:
 
 
 class _UTable:
-    """U(x) of one (spec, units) on the dyadic grid lo + (hi - lo) * j / 4096.
+    """U(x) of one (spec, units) on each scan grid lo + (hi - lo) * i / n_grid.
 
     U does not depend on E, so one table serves every turning-point scan
-    of a spectrum solve. A scan on n_grid points reads every
-    (4096 // n_grid)-th entry: the 257-point grid first, then the odd
-    multiples of 8, 4, 2 and 1, each filled by one `evaluate_grid` call when
-    a scan first needs it. That scan computes its abscissae as
-    lo + (hi - lo) * i / n_grid, and i / n_grid == (i * 4096 / n_grid) / 4096
-    exactly, so the shared entries sit at bit-identical x; an entry whose x
-    differs (a grid outside the normal float range) is evaluated again. The
-    abscissae and U of each grid are kept after its first scan, so a later
-    energy only subtracts. On the wells that scan, expressions and the step,
-    `evaluate_grid` gives NaN exactly where `evaluate` raises and its bits
-    elsewhere, so scanning the table gives exactly the brackets
-    `numerics.sign_changes` gives over `numerics.tabulate` of
-    f(x) = E - U(x) at those abscissae.
+    of a spectrum solve: a grid is evaluated by one `evaluate_grid` call
+    when a scan first needs it, and a later energy only subtracts. On the
+    wells that scan, expressions and the step, `evaluate_grid` gives NaN
+    exactly where `evaluate` raises and its bits elsewhere, so scanning the
+    table gives exactly the brackets `numerics.sign_changes` gives over
+    `numerics.tabulate` of f(x) = E - U(x) at those abscissae.
     """
 
     def __init__(self, spec: PotentialSpec, units: UnitSystem):
         self.spec, self.units = spec, units
-        self.x = self.u = None  # allocated by the first scan; closed forms never scan
         self.grids = {}  # n_grid -> (abscissae, U)
 
     def brackets(self, E: float, n_grid: int) -> list[numerics.Bracket]:
-        xs, u = self.grids.get(n_grid) or self._fill(n_grid)
         with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are skipped points
+            if n_grid not in self.grids:
+                lo, hi = self.spec.span()
+                xs = lo + (hi - lo) * np.arange(n_grid + 1) / n_grid
+                self.grids[n_grid] = xs, self.spec.evaluate_grid(xs, self.units)
+            xs, u = self.grids[n_grid]
             return numerics.sign_changes(xs, E - u)
-
-    def _fill(self, n_grid: int) -> tuple[np.ndarray, np.ndarray]:
-        if self.u is None:
-            self.lo, self.hi = self.spec.span()
-            self.x = np.full(_SCAN_GRIDS[-1] + 1, np.nan)
-            self.u = np.full(_SCAN_GRIDS[-1] + 1, np.nan)
-        step = _SCAN_GRIDS[-1] // n_grid
-        with np.errstate(over="ignore", invalid="ignore"):
-            xs = self.lo + (self.hi - self.lo) * np.arange(n_grid + 1) / n_grid
-            stale = np.flatnonzero(self.x[::step] != xs)  # NaN marks an empty entry
-        if stale.size:
-            self.u[stale * step] = self.spec.evaluate_grid(xs[stale], self.units)
-            self.x[stale * step] = xs[stale]
-        # a copy: a finer grid may evaluate a shared entry again at its own x
-        self.grids[n_grid] = xs, self.u[::step].copy()
-        return self.grids[n_grid]
 
 
 def turning_points(
@@ -174,10 +154,11 @@ def turning_points(
     The brackets come from sign changes of E - U on grids of 257, 513, ...
     up to 4097 points, the next one scanned only when the last showed fewer
     than two (a turning point next to an open domain end may need a fine one).
-    U on those grids is read from `_table`, which a level solve shares
-    across all its energies; without one, a table for this call alone is
-    used. For a well mirrored about a pole (`axb`) the positive-side pair is
-    returned (the mirrored well carries the same spectrum by symmetry).
+    U on each grid is evaluated once and kept in `_table`, which a level
+    solve shares across all its energies; without one, a table for this
+    call alone is used. For a well mirrored about a pole (`axb`) the
+    positive-side pair is returned (the mirrored well carries the same
+    spectrum by symmetry).
     """
     units = units or UnitSystem()
     tol = tol or Tolerances()
@@ -263,7 +244,7 @@ def ground_state_energy(
 
     energy = numerics.solve_self_consistent(residual, shared.e_lo, shared.e_hi, tol)
     tp = turning_points(spec, energy, units, shared.tp_tol, shared.table)
-    return GroundState(energy=energy, tp=tp, residual=abs(residual(energy)))
+    return GroundState(energy=energy, tp=tp, residual=abs(energy - coeff / (tp.d * tp.d)))
 
 
 def excited_energy(

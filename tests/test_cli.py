@@ -544,6 +544,15 @@ class TestExitCodes:
         assert err.startswith("turnpoint: convergence failure: norm integrand is not finite")
         assert err.count("\n") == 1
 
+    def test_norm_quadrature_past_its_panel_budget_is_3(self, capsys):
+        # the norm density of this steep trig well needs far more panels than
+        # the budget: the quadrature stops there rather than halving for minutes
+        argv = ["--potential", "trig:u0=8.719e+23,a=0.01068", "--n-max", "3", "--variant", "general"]
+        code, out, err = run(["wavefunction", *argv, "--n", "1", "--samples", "5"], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("turnpoint: convergence failure: quadrature needs more than 1000 panels on [")
+        assert err.count("\n") == 1
+
     def test_unbound_potential_is_3(self, capsys):
         # monotone ramp: no second turning point, the solve cannot converge
         code, _, _ = run(["solve", "--potential", "expr:x;domain=-5..5"], capsys)

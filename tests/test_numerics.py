@@ -241,6 +241,19 @@ class TestIntegrate:
     def test_zero_width_interval(self):
         assert numerics.integrate(lambda x: x * x, 1.0, 1.0) == 0.0
 
+    def test_noise_stops_at_the_panel_budget(self):
+        # hash noise: |K15 - G7| is about the panel's width on every panel, so
+        # the estimates never sum below quad_rel and no panel nears the depth cap
+        calls = [0]
+
+        def noise(x):
+            calls[0] += 1
+            return hash(x) % 1000 / 1000.0
+
+        with pytest.raises(QuadratureDivergence, match=r"more than 1000 panels on \[0.0, 1.0\]"):
+            numerics.integrate(noise, 0.0, 1.0)
+        assert calls[0] <= 15 * 2 * numerics._QUAD_MAX_PANELS
+
 
 class TestSolveSelfConsistent:
     def test_linear_residual(self):

@@ -23,7 +23,6 @@ from turnpoint.potentials import (
     UnitSystem,
     VWell,
     parse_potential_spec,
-    spec_to_dict,
 )
 
 U = UnitSystem()
@@ -124,7 +123,7 @@ class TestSpecParsing:
     def test_every_family_parses_its_lower_cased_fields(self, cls):
         keys = [f.name.lower() for f in fields(cls)]
         spec = cls(*(1.25 * (i + 1) for i in range(len(keys))))
-        doc = spec_to_dict(spec)
+        doc = spec.to_dict()
         assert doc.pop("kind") == cls.kind
         assert parse_potential_spec(f"{cls.kind}:" + ",".join(f"{k}={v!r}" for k, v in doc.items())) == spec
         lower = [f"{k}={v!r}" for k, v in zip(keys, doc.values())]
@@ -136,21 +135,21 @@ class TestSpecParsing:
             parse_potential_spec(f"{cls.kind}:" + ",".join(lower + ["kind=1"]))
 
     def test_spec_to_dict_round_trip(self):
-        doc = spec_to_dict(TrigWell(u0=1.0, a=2.0))
+        doc = TrigWell(u0=1.0, a=2.0).to_dict()
         assert doc == {"kind": "trig", "u0": 1.0, "a": 2.0}
 
     def test_spec_to_dict_expression(self):
-        doc = spec_to_dict(parse_potential_spec("expr:x^2;domain=-1..1"))
+        doc = parse_potential_spec("expr:x^2;domain=-1..1").to_dict()
         assert doc == {"kind": "expr", "source": "x^2", "domain": {"lo": -1.0, "hi": 1.0}}
 
     @settings(max_examples=60, deadline=None)
     @given(_SOURCES, _DOMAINS)
     def test_expression_echo_parses_back_to_the_same_well(self, source, dom):
         first = parse_potential_spec(f"expr: {source} ;domain={dom[0]!r}..{dom[1]!r}")
-        doc = spec_to_dict(first)
+        doc = first.to_dict()
         lo, hi = doc["domain"]["lo"], doc["domain"]["hi"]
         echo = parse_potential_spec(f"expr:{doc['source']};domain={lo!r}..{hi!r}")
-        assert spec_to_dict(echo) == doc and (lo, hi) == dom
+        assert echo.to_dict() == doc and (lo, hi) == dom
         for x in np.linspace(lo, hi, 9).tolist():
             assert _u_outcome(echo, x) == _u_outcome(first, x)
 

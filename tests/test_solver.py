@@ -357,9 +357,9 @@ class TestUTable:
 
     def test_grid_points_past_overflow_are_evaluated_again(self):
         # hi * i overflows on the 513-point grid from i = 200 on, where the
-        # 257-point grid still had x = hi * 100 / 256 finite; a sign change of
-        # x - t between the two must not be seen at x = inf, nor, scanned
-        # again, on the 257-point grid, whose entry the 513-point one replaced
+        # 257-point grid still has x = hi * 100 / 256 finite; a sign change of
+        # x - t between the two must not be seen at x = inf on the 513-point
+        # grid, nor lost when the 257-point grid is scanned again after it
         hi = 1.7976931348623157e308 / 199.5
         t = 0.5 * (hi * 199 / 512 + hi * 100 / 256)
         spec = parse_potential_spec(f"expr:x - {t!r};domain=0..{hi!r}")
@@ -367,6 +367,23 @@ class TestUTable:
         for n in (256, 512, 256):
             fresh = _scan(lambda x: -potentials.evaluate(spec, x, U), 0.0, hi, n)
             assert _key(table.brackets(0.0, n)) == _key(fresh)
+
+    @pytest.mark.parametrize("source", ["expr:0.5*x^2;domain=-12..12", "step:u0=1"])
+    def test_each_grid_is_evaluated_by_one_call_of_its_own_points(self, source, monkeypatch):
+        spec = parse_potential_spec(source)
+        sizes = []
+        evaluate_grid = type(spec).evaluate_grid
+
+        def counted(self, xs, units):
+            sizes.append(len(xs))
+            return evaluate_grid(self, xs, units)
+
+        monkeypatch.setattr(type(spec), "evaluate_grid", counted)
+        table = solver._UTable(spec, U)
+        for E in (0.5, 3.0, 80.0, 0.5):
+            for n in (256, 512, 4096):
+                table.brackets(E, n)
+        assert sizes == [257, 513, 4097]
 
     def test_roadmap_ground_case_stays_under_3000_u_evaluations(self, monkeypatch):
         calls = [0]
