@@ -100,20 +100,13 @@ def to_json(value, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _check_residual(residual: float, scale: float, tol: Tolerances) -> None:
-    if residual > tol.energy_rel * (1.0 + abs(scale)):
-        raise ConvergenceFailure(
-            f"residual {residual} above configured tolerance; refusing to emit"
-        )
-
-
 def _solve_levels(config: RunConfig) -> tuple[solver.GroundState, list[solver.EnergyLevel]]:
     wanted = [solver.LevelSpec(n, v) for n in range(1, config.n_max + 1) for v in config.variants]
     ground, levels = solver._solve_spectrum(config.potential, wanted, config.units, config.tolerances)
-    _check_residual(ground.residual, ground.energy, config.tolerances)
     levels.sort(key=lambda lv: (lv.level.n, lv.energy))  # stable: variant order breaks ties
-    for lv in levels:
-        _check_residual(lv.residual, lv.level.q * math.pi, config.tolerances)
+    for lv in levels:  # the ground's check is the solver's own
+        if lv.residual > config.tolerances.energy_rel * (1.0 + lv.level.q * math.pi):
+            raise ConvergenceFailure(f"residual {lv.residual} above configured tolerance; refusing to emit")
     return ground, levels
 
 

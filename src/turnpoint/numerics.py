@@ -257,13 +257,14 @@ def solve_self_consistent(
     g must be negative, or not evaluable, below the root: every solver
     residual is. Levels sit near the low end of the window [e_lo, e_hi], so
     the bracket is the first sign change of a tenfold `bracket_roots` from
-    e_lo whose first step is (e_hi - e_lo) * 1e-12; e_hi only sets that
-    step, and the search may pass it. `_refine` then refines the root
-    inside it. The root is the lowest sign change only at the resolution of
-    that search: one tenfold step may pass over two of them.
+    e_lo whose first step is (e_hi - e_lo) * 1e-12; e_hi only sets the
+    scale (that step and `_refine`'s absolute tolerance), and the search
+    may pass it. `_refine` then refines the root inside it. The root is the
+    lowest sign change only at the resolution of that search: one tenfold
+    step may pass over two of them.
     """
     tol = tol or Tolerances()
-    return _refine(g, bracket_roots(g, e_lo, math.nan, (e_hi - e_lo) * 1e-12, 10.0), tol)
+    return _refine(g, bracket_roots(g, e_lo, math.nan, (e_hi - e_lo) * 1e-12, 10.0), tol, e_hi - e_lo)
 
 
 def bracket_roots(g: Callable[[float], float], lo: float, f_lo: float, step: float, growth: float) -> Bracket:
@@ -305,10 +306,12 @@ def bracket_roots(g: Callable[[float], float], lo: float, f_lo: float, step: flo
     raise ConvergenceFailure(f"no sign change of the residual on [{start}, {top}]" + (skipped if causes else ""))
 
 
-def _refine(g: Callable[[float], float], bracket: Bracket, tol: Tolerances) -> float:
-    """The root of g in the bracket by `bisect`, refined well past the interval
-    tolerance so steep residuals still land, if |g| <= energy_rel * (1 + |E|) there."""
-    root = bisect(g, bracket, replace(tol, root_abs=1e-14, root_rel=max(tol.energy_rel * 1e-4, 1e-15)))
+def _refine(g: Callable[[float], float], bracket: Bracket, tol: Tolerances, window: float) -> float:
+    """The root of g in the bracket by `bisect`, if |g| <= energy_rel * (1 + |E|)
+    there, refined well past the interval tolerance so steep residuals still
+    land: to energy_rel * 1e-5 of |E| or 1e-17 of the searched window's width
+    (1e-14 of a level solve's energy scale), so levels far below it resolve."""
+    root = bisect(g, bracket, replace(tol, root_abs=1e-17 * window, root_rel=max(tol.energy_rel * 1e-5, 1e-15)))
     residual = abs(g(root))
     if residual > tol.energy_rel * (1.0 + abs(root)):
         raise ConvergenceFailure(f"residual {residual} above tolerance at E={root}")

@@ -5,14 +5,16 @@ wells of arbitrary form.
 The quantization branches are K*d = (2n-1)*pi (symmetric, cosine factor),
 K*d = 2*n*pi (antisymmetric, sine factor) and K*d = n*pi (general, cosine for
 odd n, sine for even n), with K = m1*sqrt(E) and d the turning-point width
-evaluated at the same energy. Widths depend on the unknown energy, so every
-level is a root of a scalar residual, refined by Brent's method rather than
-by fixed-point iteration (the right-hand sides need not contract). Every
-bracket comes from one upward search, `numerics.bracket_roots`. A level
-solve climbs from the bottom of the energy window by tenfold steps
-(`numerics.solve_self_consistent`). A spectrum solve (`_solve_spectrum`)
-does so for the lowest level only, and climbs to each level above it from
-the level below, by doubling steps of the last gap.
+evaluated at the same energy; the ground level E = 2*hbar^2 / (m*d^2) is
+K*d = 2, the rung below them. Widths depend on the unknown energy, so every
+level is a root of one residual, K*d - target (`_rung`), refined by Brent's
+method rather than by fixed-point iteration (the right-hand sides need not
+contract). Every bracket comes from one upward search,
+`numerics.bracket_roots`. A level solve climbs from the bottom of the
+energy window by tenfold steps (`numerics.solve_self_consistent`). A
+spectrum solve (`_solve_spectrum`) does so for the lowest level only, and
+climbs to each level above it from the level below, by doubling steps of
+the last gap.
 
 Wells without closed-form turning points (expressions, the step) find them
 from sign changes of E - U(x) on a grid. U does not depend on E, so a
@@ -224,27 +226,50 @@ def delta_equivalent_energy(S: float, units: UnitSystem | None = None) -> float:
     return -units.mass * S * S / (2.0 * (units.hbar * units.hbar))
 
 
+def _rung(
+    spec: PotentialSpec, target: float, units: UnitSystem | None, tol: Tolerances | None,
+    shared: _Shared | None, below: tuple[float, float, float] | None,
+) -> tuple[float, TurningPoints, float]:
+    """(E, turning points, K) at the root of K(E) * d(E) = target, the level
+    equation of every rung; with `below` = (E', residual at E', step) for a
+    level E' below it, bracketed upward from E' first, else from e_lo."""
+    units = units or UnitSystem()
+    tol = tol or Tolerances()
+    shared = shared or _Shared(spec, units, tol)
+    m1 = units.m1
+
+    def residual(E: float) -> float:
+        d = turning_points(spec, E, units, shared.tp_tol, shared.table).d  # InvalidEnergy below the minimum
+        if d < _TINY_WIDTH * spec.scale(units):
+            return -math.inf  # not evaluable: E below any admissible level
+        return m1 * math.sqrt(E) * d - target
+
+    try:
+        bracket = below and numerics.bracket_roots(residual, *below, 2.0)
+    except ConvergenceFailure:
+        bracket = None
+    if bracket:
+        energy = numerics._refine(residual, bracket, tol, shared.e_hi - shared.e_lo)
+    else:
+        energy = numerics.solve_self_consistent(residual, shared.e_lo, shared.e_hi, tol)
+    return energy, turning_points(spec, energy, units, shared.tp_tol, shared.table), m1 * math.sqrt(energy)
+
+
 def ground_state_energy(
     spec: PotentialSpec,
     units: UnitSystem | None = None,
     tol: Tolerances | None = None,
     _shared: _Shared | None = None,
 ) -> GroundState:
-    """Self-consistent zero-point energy E = 2*hbar^2 / (m * d(E)^2)."""
-    units = units or UnitSystem()
+    """Self-consistent zero-point energy E = 2*hbar^2 / (m * d(E)^2), the rung
+    K(E) * d(E) = 2 below the excited ladder; ConvergenceFailure unless
+    |E - 2*hbar^2 / (m * d^2)| <= energy_rel * (1 + E)."""
     tol = tol or Tolerances()
-    shared = _shared or _Shared(spec, units, tol)
-    coeff = 2.0 * (units.hbar * units.hbar) / units.mass
-
-    def residual(E: float) -> float:
-        d = turning_points(spec, E, units, shared.tp_tol, shared.table).d  # InvalidEnergy below the minimum
-        if d < _TINY_WIDTH * spec.scale(units):
-            return -math.inf  # E below any admissible level
-        return E - coeff / (d * d)
-
-    energy = numerics.solve_self_consistent(residual, shared.e_lo, shared.e_hi, tol)
-    tp = turning_points(spec, energy, units, shared.tp_tol, shared.table)
-    return GroundState(energy=energy, tp=tp, residual=abs(energy - coeff / (tp.d * tp.d)))
+    energy, tp, K = _rung(spec, 2.0, units, tol, _shared, None)
+    residual = energy * abs(1.0 - (2.0 / (K * tp.d)) ** 2)  # 2 hbar^2 / (m d^2) = E * (2 / (K d))^2
+    if residual > tol.energy_rel * (1.0 + energy):
+        raise ConvergenceFailure(f"ground residual {residual} above tolerance at E={energy}")
+    return GroundState(energy=energy, tp=tp, residual=residual)
 
 
 def excited_energy(
@@ -255,31 +280,10 @@ def excited_energy(
     _shared: _Shared | None = None,
     _below: tuple[float, float, float] | None = None,
 ) -> EnergyLevel:
-    """Self-consistent solve of K(E) * d(E) = q * pi for the given branch;
-    with `_below` = (E', residual at E', step) for a level E' below it,
-    bracketed upward from E' first (`numerics.bracket_roots`), else from e_lo."""
-    units = units or UnitSystem()
-    tol = tol or Tolerances()
-    shared = _shared or _Shared(spec, units, tol)
-    m1 = units.m1
+    """Self-consistent solve of K(E) * d(E) = q * pi for the given branch,
+    climbing from `_below` as `_rung` does."""
     target = level.q * math.pi
-
-    def residual(E: float) -> float:
-        d = turning_points(spec, E, units, shared.tp_tol, shared.table).d
-        if d < _TINY_WIDTH * spec.scale(units):
-            return -target
-        return m1 * math.sqrt(E) * d - target
-
-    try:
-        bracket = _below and numerics.bracket_roots(residual, *_below, 2.0)
-    except ConvergenceFailure:
-        bracket = None
-    if bracket:
-        energy = numerics._refine(residual, bracket, tol)
-    else:
-        energy = numerics.solve_self_consistent(residual, shared.e_lo, shared.e_hi, tol)
-    tp = turning_points(spec, energy, units, shared.tp_tol, shared.table)
-    K = m1 * math.sqrt(energy)
+    energy, tp, K = _rung(spec, target, units, tol, _shared, _below)
     return EnergyLevel(level=level, energy=energy, tp=tp, K=K, residual=abs(K * tp.d - target))
 
 

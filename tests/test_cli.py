@@ -100,14 +100,18 @@ class TestSolve:
         # E_q = q pi hbar omega / 4, ground hbar omega / 2
         ("sho:omega=1e8", 5e7, lambda q: q * math.pi * 1e8 / 4.0),
         ("sho:omega=1e12", 5e11, lambda q: q * math.pi * 1e12 / 4.0),
+        # low-energy twins: the root tolerance follows the energy scale
+        ("sho:omega=1e-9", 5e-10, lambda q: q * math.pi * 1e-9 / 4.0),
+        # E_q = (q pi u0 / (2 sqrt 2))^(2/3), ground (u0^2 / 2)^(1/3)
+        ("vwell:u0=1e-14", (1e-28 / 2.0) ** (1.0 / 3.0), lambda q: (q * math.pi * 1e-14 / (2.0 * math.sqrt(2.0))) ** (2.0 / 3.0)),
     ])
     def test_narrow_wells_at_high_energy(self, spec, ground, level, capsys):
         # the width guard compares d with the well's length scale, not with E
         doc = run_json(["solve", "--potential", spec, "--n-max", "2", "--variant", "all"], capsys)
-        assert doc["ground_state"]["energy"] == pytest.approx(ground, rel=1e-10)
+        assert doc["ground_state"]["energy"] == pytest.approx(ground, rel=1e-10, abs=0.0)
         q = {"symmetric": lambda n: 2 * n - 1, "antisymmetric": lambda n: 2 * n, "general": lambda n: n}
         for lv in doc["levels"]:
-            assert lv["energy"] == pytest.approx(level(q[lv["variant"]](lv["n"])), rel=1e-10)
+            assert lv["energy"] == pytest.approx(level(q[lv["variant"]](lv["n"])), rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("expr, family, n_max", [
         # levels reach past the 10-fold step of the geometric scan from E_lo
@@ -152,6 +156,13 @@ class TestSolve:
         # E^2 >> 4ab at these levels: the inner turning point must not cancel
         doc = run_json(["solve", "--potential", *argv], capsys)
         assert doc["levels"] and all(math.isfinite(lv["energy"]) for lv in doc["levels"])
+
+    def test_ground_just_above_a_steep_minimum_solves(self, capsys):
+        # there 2 hbar^2 / (m d^2) moves by about 1.5 per two ulps of E, so the
+        # ground's check |E - 2 hbar^2 / (m d^2)| <= 0.74 holds only at the float
+        # nearest the root: Brent must refine the level to about 1e-15 of E
+        doc = run_json(["solve", "--potential", "axb:a=3.51e13,b=389500", "--n-max", "1"], capsys)
+        assert doc["ground_state"]["residual"] <= 1e-10 * (1.0 + doc["ground_state"]["energy"])
 
     def test_a_domain_end_is_still_not_a_turning_point(self, capsys):
         code, out, _ = run(["solve", "--potential", "expr:0*x;domain=0..1", "--n-max", "1", "--variant", "general"], capsys)
@@ -552,6 +563,22 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert err.startswith("turnpoint: convergence failure: quadrature needs more than 1000 panels on [")
         assert err.count("\n") == 1
+
+    def test_jump_at_a_vanishing_width_is_no_level(self, capsys):
+        # below some energy this well's width falls under the tiny-width floor;
+        # a finite residual there once let Brent take the jump at that edge for
+        # a root and emit a level with K d = 5875 for pi
+        argv = ["--potential", "trig:u0=9.14e+34,a=8.748e+09", "--n-max", "3", "--variant", "symmetric"]
+        code, out, err = run(["wavefunction", *argv, "--n", "1", "--samples", "7"], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("turnpoint: convergence failure: no sign change of the residual")
+
+    def test_ground_whose_width_squared_underflows_solves(self, capsys):
+        # d^2 = 1.9e-333 is subnormal: 2 hbar^2 / (m d^2) once raised ZeroDivisionError at every energy
+        hbar, mass, a = 1.113e-19, 1.175e34, 4.315e-167
+        argv = ["--potential", f"trig:u0=8.41e+18,a={a}", "--n-max", "2", "--variant", "general"]
+        doc = run_json(["solve", *argv, "--hbar", str(hbar), "--mass", str(mass)], capsys)
+        assert doc["ground_state"]["energy"] == pytest.approx(2.0 * (hbar / a) ** 2 / mass, rel=1e-12)
 
     def test_unbound_potential_is_3(self, capsys):
         # monotone ramp: no second turning point, the solve cannot converge

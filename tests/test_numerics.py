@@ -339,6 +339,12 @@ class TestSolveSelfConsistent:
 
         assert numerics.solve_self_consistent(g, lo, hi, Tolerances()) == pytest.approx(30.0, rel=1e-10)
 
+    def test_a_root_at_zero_ends(self):
+        # root_rel * |E| vanishes there: the absolute tolerance, 1e-17 of the
+        # window's width, is what ends the refinement
+        root = numerics.solve_self_consistent(lambda E: E * abs(E), -1.0, 1.0, Tolerances())
+        assert abs(root) <= 2e-17
+
     def test_nonlinear_width_style_equation(self):
         # E = 8 / E  =>  E = sqrt(8)
         root = numerics.solve_self_consistent(lambda E: E - 8.0 / E, 0.1, 100.0, Tolerances())
@@ -404,7 +410,7 @@ class TestClimb:
 
         b = numerics.bracket_roots(g, 0.0, -6.9, 1.0, 2.0)
         assert b.lo < 6.9 <= b.hi <= 7.0
-        assert numerics._refine(g, b, Tolerances()) == pytest.approx(6.9, rel=1e-12)
+        assert numerics._refine(g, b, Tolerances(), 10.0) == pytest.approx(6.9, rel=1e-12)
 
     def test_closes_in_on_a_first_value_above_the_level(self):
         # g cannot be evaluated below 0.4 and is already positive at 1.11, the

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from turnpoint import numerics, potentials, solver
-from turnpoint.errors import InvalidEnergy, InvalidInput, InvalidLevel, NoBoundRegion, TurnpointError
+from turnpoint.errors import ConvergenceFailure, InvalidEnergy, InvalidInput, InvalidLevel, NoBoundRegion, TurnpointError
 from turnpoint.potentials import (
     HarmonicOscillator,
     InfiniteSquareWell,
@@ -141,11 +141,14 @@ class TestGroundState:
             (VWell(u0=1.0), 0.5 ** (1.0 / 3.0)),
             (ParabolicWell(u0=1.0, a=1.0), math.sqrt(2.0)),
             (QuadraticInverse(a=1.0, b=1.0), 1.0 + math.sqrt(3.0)),
+            # far below the unit energy: the root tolerance follows the energy scale
+            (HarmonicOscillator(omega=7.641e-12), 7.641e-12 / 2.0),
+            (VWell(u0=1e-14), (1e-28 / 2.0) ** (1.0 / 3.0)),
         ],
     )
     def test_closed_forms(self, spec, expected):
         gs = solver.ground_state_energy(spec, U)
-        assert gs.energy == pytest.approx(expected, rel=1e-10)
+        assert gs.energy == pytest.approx(expected, rel=1e-10, abs=0.0)
         assert gs.bound is True
         assert gs.residual <= 1e-10 * (1.0 + gs.energy)
 
@@ -184,6 +187,12 @@ class TestExcitedEnergies:
                 ParabolicWell(u0=1.0, a=1.0), solver.LevelSpec(n, "antisymmetric"), U
             )
             assert asym.energy == pytest.approx(math.pi * n * e0, rel=1e-10)
+
+    def test_no_level_at_the_jump_where_the_width_vanishes(self):
+        # the residual is -inf below the tiny-width floor, so Brent cannot
+        # take the jump there for a root
+        with pytest.raises(ConvergenceFailure):
+            solver.excited_energy(TrigWell(u0=9.14e34, a=8.748e9), solver.LevelSpec(1, "symmetric"), U)
 
     def test_axb_closed_form(self):
         for n, variant in [(1, "symmetric"), (2, "general")]:
