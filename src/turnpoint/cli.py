@@ -4,6 +4,11 @@ stdout carries only the emitted document (JSON or CSV); stderr carries
 diagnostics and the rendered comparison table. Exit codes: 0 success,
 2 spec/expression parse error, 3 convergence failure, 4 invalid physical
 input.
+
+Floats are written with 17 significant digits, and NaN is refused. A list
+of records (scatter's energies, the levels of a solve) is emitted through
+one `%` template per record shape, and a wavefunction CSV row through one
+`%`: both give the text of the value-by-value rendering.
 """
 
 from __future__ import annotations
@@ -73,8 +78,44 @@ def format_float(value: float) -> str:
 _json_string = json.JSONEncoder(ensure_ascii=False).encode
 
 
+# (indent, keys, value types) of a record in a list -> its `%` template; None
+# where a key is no str, as 1, 1.0 and True are one dict key but print apart
+_TEMPLATES: dict[tuple, str | None] = {}
+
+
+def _template(indent: int, keys: tuple, types: tuple) -> str | None:
+    """An item's text in a list at `indent`: %.17g for a Python float, %s for any other value's text."""
+    if not all(type(k) is str for k in keys):
+        return None
+    pad, inner = "  " * (indent + 1), "  " * (indent + 2)
+    fields = [f'{inner}"{k}": '.replace("%", "%%") + ("%.17g" if t is float else "%s")
+              for k, t in zip(keys, types)]
+    return pad + "{\n" + ",\n".join(fields) + "\n" + pad + "}"
+
+
+def _record(record: dict, indent: int) -> str:
+    """An item of a list at `indent`, filled into the template of its shape."""
+    values = tuple(record.values())
+    shape = (indent, tuple(record), tuple(map(type, values)))
+    if shape not in _TEMPLATES:
+        _TEMPLATES[shape] = _template(*shape)
+    template = _TEMPLATES[shape]
+    if template is None:
+        return "  " * (indent + 1) + to_json(record, indent + 1)
+    # a NaN goes to to_json, whose format_float refuses it
+    return template % tuple([v if type(v) is float and v == v else to_json(v, indent + 2) for v in values])
+
+
 def to_json(value, indent: int = 0) -> str:
-    """Minimal JSON emitter with stable key order and .17g floats."""
+    """Minimal JSON emitter with stable key order and .17g floats.
+
+    A list whose items are all non-empty dicts is emitted through one `%`
+    template per (indent, keys, value types), kept in `_TEMPLATES`: a
+    Python float fills a %.17g field, which gives `format_float`'s text, and
+    every other value, np.float64 included, its own `to_json` text. The
+    result is the text of the item-by-item rendering, and a NaN is refused
+    with the same ValueError.
+    """
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(value, dict):
@@ -85,7 +126,10 @@ def to_json(value, indent: int = 0) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        items = [f"{inner}{to_json(v, indent + 1)}" for v in value]
+        if all(isinstance(v, dict) and v for v in value):
+            items = [_record(v, indent) for v in value]
+        else:
+            items = [f"{inner}{to_json(v, indent + 1)}" for v in value]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -160,10 +204,11 @@ def run_wavefunction(config: RunConfig, n: int, variant: str, samples: int) -> s
         grid = [lo]
     else:
         grid = [lo + (hi - lo) * i / (samples - 1) for i in range(samples)]
-    lines = ["x,psi"]
-    for x, psi in solver.sample(desc, grid):
-        lines.append(f"{format_float(x)},{format_float(psi)}")
-    return "\n".join(lines) + "\n"
+    rows = solver.sample(desc, grid)
+    for x, psi in rows:  # format_float's refusal; %.17g is its text
+        if x != x or psi != psi:
+            raise ValueError("refusing to serialize NaN")
+    return "x,psi\n" + "".join(["%.17g,%.17g\n" % row for row in rows])
 
 
 def run_scatter(u0: float, energies: list[float], x_probe: float, units: UnitSystem) -> dict:
@@ -178,8 +223,8 @@ def run_scatter(u0: float, energies: list[float], x_probe: float, units: UnitSys
         coeffs = scattering.match_coefficients(E, u0, units)
         if coeffs.regime == scattering.REGIME_BELOW:
             t_at_x = 0.0
-        else:
-            t_at_x = scattering.transmission_at(E, u0, x_probe, units)
+        else:  # scattering.transmission_at, from the coefficients at hand
+            t_at_x = coeffs.T0 * math.exp(-2.0 * coeffs.a * x_probe)
         record = {
             "E": E,
             "regime": coeffs.regime,
@@ -405,7 +450,7 @@ def _dispatch(args: argparse.Namespace) -> int:
                 raise InvalidInput("energy range needs --e-min < --e-max and --e-count >= 2")
             if e_count > MAX_SAMPLES:
                 raise InvalidInput(f"e-count must be <= {MAX_SAMPLES}, got {e_count}")
-            energies += list(np.linspace(e_min, e_max, e_count))
+            energies += np.linspace(e_min, e_max, e_count).tolist()
         if not energies:
             raise InvalidInput("scatter requires --energy or an --e-min/--e-max/--e-count range")
         if any(E <= 0.0 for E in energies):

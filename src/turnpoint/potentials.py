@@ -107,6 +107,10 @@ class PotentialSpec:
         """Infimum of U over the domain."""
         return 0.0
 
+    def min_point(self) -> tuple[float, float] | None:
+        """(x, U(x)) at a point where U takes `u_min`, where one is known."""
+        return None
+
     def scale(self, units: UnitSystem) -> float:
         """A length scale for bracket initialization; order of magnitude only."""
         return 1.0
@@ -405,12 +409,18 @@ class Expression(PotentialSpec):
         return self.dom
 
     def u_min(self):
-        """Smallest U on the 511 points lo + (hi - lo) * i / 512, i = 1..511."""
+        return self.min_point()[1]
+
+    def min_point(self):
+        """The first point of smallest U on the 511 points lo + (hi - lo) * i / 512,
+        i = 1..511, as a running min keeps; `u_min` is its U."""
         lo, hi = self.dom.lo, self.dom.hi
-        u = self.compiled_grid(lo + (hi - lo) * np.arange(1, 512) / 512)
+        xs = lo + (hi - lo) * np.arange(1, 512) / 512
+        u = self.compiled_grid(xs)
         if np.isnan(u).all():
             raise DomainError("expression potential not evaluable anywhere on its domain")
-        return float(u[np.nanargmin(u)])  # the first of equal values, as a running min keeps
+        i = np.nanargmin(u)
+        return float(xs[i]), float(u[i])
 
     def scale(self, units):
         return (self.dom.hi - self.dom.lo) / 10.0

@@ -350,10 +350,17 @@ def wavefunction(
     units: UnitSystem | None = None,
     tol: Tolerances | None = None,
 ) -> WaveFunctionDescriptor:
-    """Un-normalized descriptor for psi_n on the well interval [x1, x2]."""
+    """Un-normalized descriptor for psi_n on the well interval [x1, x2].
+
+    A numeric Q takes sqrt(U), so a well whose minimum lies in [x1, x2]
+    below 0 is refused here, whatever points `normalize` and `sample` take;
+    a dip that the minimum scan misses is refused where a point lands in it."""
     units = units or UnitSystem()
     tol = tol or Tolerances()
     tp = turning_points(spec, E, units, tol)
+    lowest = None if spec.closed_form else spec.min_point()
+    if lowest and lowest[1] < 0.0 and tp.x1 <= lowest[0] <= tp.x2:
+        raise InvalidRegion(f"Q needs U >= 0 on the well, but U({lowest[0]!r}) = {lowest[1]!r} < 0")
     q_eval = q_function(spec, units, tol, anchor=tp.x0)
     return WaveFunctionDescriptor(level=level, tp=tp, amplitude=1.0, q_eval=q_eval)
 
@@ -375,5 +382,11 @@ def normalize(desc: WaveFunctionDescriptor, tol: Tolerances | None = None) -> Wa
 
 
 def sample(desc: WaveFunctionDescriptor, grid: list[float]) -> list[tuple[float, float]]:
-    """Pointwise (x, psi(x)) over an ascending grid; zero outside the well."""
-    return [(x, desc(x)) for x in grid]
+    """Pointwise (x, psi(x)) over an ascending grid; zero outside the well.
+    psi(x) is `desc(x)` bit for bit: the same float operations in the same
+    order, with the descriptor's fields read once."""
+    tp, level = desc.tp, desc.level
+    x1, x2, x0, d = tp.x1, tp.x2, tp.x0, tp.d
+    qpi, amp, q, exp = level.q * math.pi, desc.amplitude, desc.q_eval, math.exp
+    trig = math.cos if level.uses_cosine else math.sin
+    return [(x, amp * trig(qpi * (x - x0) / d) * exp(-q(x)) if x1 <= x <= x2 else 0.0) for x in grid]

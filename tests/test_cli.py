@@ -12,6 +12,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -606,6 +607,19 @@ class TestExitCodes:
             r"turnpoint: invalid input: Q needs U >= 0 on the well, but U\(\S+\) = -\S+ < 0\n", err
         )
 
+    @pytest.mark.parametrize("samples", ["7", "8"])
+    def test_negative_u_min_in_the_well_is_4_at_any_sample_count(self, samples, capsys):
+        # U < 0 only on |x| < 7e-19: where the norm's or the samples' points land
+        # in that dip once decided the refusal; the minimum scan's x = 0 decides it
+        spec = "expr:105400000000000.0*x^2-5.134e-23;domain=-273300.0..273300.0"
+        code, out, err = run(
+            ["wavefunction", "--potential", spec, "--n-max", "2", "--variant", "general",
+             "--n", "1", "--samples", samples],
+            capsys,
+        )
+        assert (code, out) == (4, "")
+        assert err == "turnpoint: invalid input: Q needs U >= 0 on the well, but U(0.0) = -5.134e-23 < 0\n"
+
     def test_steep_walled_trig_well_is_3_in_the_oracle(self, capsys):
         code, out, err = run(
             ["compare", "--potential", "trig:u0=1e10,a=1", "--n-max", "2", "--variant", "general"], capsys
@@ -701,7 +715,84 @@ class TestFlagSets:
         assert run(solve, capsys) == before
 
 
+def _recursive_to_json(value, indent=0):
+    """The emitter item by item, as it was before record templates: the oracle."""
+    pad, inner = "  " * indent, "  " * (indent + 1)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f'{inner}"{k}": {_recursive_to_json(v, indent + 1)}' for k, v in value.items()]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [f"{inner}{_recursive_to_json(v, indent + 1)}" for v in value]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        if value != value:
+            raise ValueError("refusing to serialize NaN")
+        return format(value, ".17g")
+    if isinstance(value, str):
+        return json.dumps(value, ensure_ascii=False)
+    if value is None:
+        return "null"
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1e308, 2.0 ** 1023])
+_SCALARS = st.one_of(
+    _FINITE, _EDGE_FLOATS, _FINITE.map(np.float64), _EDGE_FLOATS.map(np.float64),
+    st.integers(), st.booleans(), st.none(),
+    st.text(st.sampled_from(['"', "\t", "\n", "\\", "é", "%", "a"]), max_size=5),
+)
+_NESTED = st.dictionaries(st.sampled_from(["value", "non_physical", "%s"]), _SCALARS, max_size=3)
+_VALUES = st.one_of(_SCALARS, _NESTED)
+
+
+def _records(keys):
+    return st.fixed_dictionaries({k: _VALUES for k in keys})
+
+
+# two key sets, as scatter's records above and below the barrier; one key holds a %
+_ABOVE = _records(["E", "regime", "R", "T0", "T_at_x", "standard_R"])
+_BELOW = _records(["E", "regime", "R", "T0", "T_at_x", "share_%d", "raw_subbarrier_R"])
+
+
 class TestJsonEmitter:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(_ABOVE, _BELOW), min_size=1, max_size=6), st.integers(0, 3))
+    def test_record_lists_give_the_recursive_text(self, records, indent):
+        assert cli.to_json(records, indent) == _recursive_to_json(records, indent)
+        doc = {"u0": 1.0, "records": records, "tail": [records[0], 1.5]}
+        assert cli.to_json(doc) == _recursive_to_json(doc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(_SCALARS, _NESTED, st.lists(_SCALARS, max_size=2)), max_size=6))
+    def test_other_lists_give_the_recursive_text(self, items):
+        assert cli.to_json(items) == _recursive_to_json(items)
+
+    def test_keys_that_compare_equal_keep_their_own_text(self):
+        records = [{1: 2.0}, {True: 2.0}, {1.0: 2.0}, {"1": 2.0}]
+        assert cli.to_json(records) == _recursive_to_json(records)
+
+    @pytest.mark.parametrize("nan", [math.nan, np.float64(math.nan)], ids=["float", "np.float64"])
+    @pytest.mark.parametrize("where", ["record", "nested", "list"])
+    def test_nan_in_a_record_is_refused(self, nan, where):
+        record = {"E": 1.0, "R": 0.5, "regime": "above_barrier"}
+        if where == "record":
+            record["R"] = nan
+        elif where == "nested":
+            record["raw_subbarrier_R"] = {"value": nan, "non_physical": True}
+        else:
+            record["levels"] = [{"energy": nan}]
+        with pytest.raises(ValueError, match="refusing to serialize NaN"):
+            cli.to_json({"records": [{"E": 2.0, "R": 0.25, "regime": "above_barrier"}, record]})
+
     def test_round_trip_and_nan_refusal(self):
         text = cli.to_json({"a": [1.5, True, None, "x\"y"], "b": {}})
         assert json.loads(text) == {"a": [1.5, True, None, 'x"y'], "b": {}}

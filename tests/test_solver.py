@@ -457,6 +457,18 @@ _QUADRATIC_EXPR = "expr:0.5*x^2;domain=-12..12"
 _ALL = [solver.LevelSpec(n, v) for n in (1, 2, 3) for v in solver.VARIANTS]
 
 
+@pytest.mark.parametrize("variant", solver.VARIANTS)
+@pytest.mark.parametrize("spec", _BUILT_IN, ids=lambda s: s.kind)
+def test_sample_is_the_descriptor_bit_for_bit(spec, variant):
+    level = solver.LevelSpec(2, variant)
+    desc = solver.normalize(solver.wavefunction(spec, level, solver.excited_energy(spec, level, U).energy, U))
+    tp = desc.tp
+    grid = [tp.x1 - tp.d, tp.x1 - 0.1 * tp.d, math.nextafter(tp.x1, -math.inf), tp.x1, tp.x0, tp.x2,
+            math.nextafter(tp.x2, math.inf), tp.x2 + 0.1 * tp.d]
+    grid += [tp.x1 + tp.d * i / 37 for i in range(1, 37)]
+    assert [(x.hex(), psi.hex()) for x, psi in solver.sample(desc, grid)] == [(x.hex(), desc(x).hex()) for x in grid]
+
+
 def _counting(monkeypatch, module, attr):
     calls = [0]
     original = getattr(module, attr)
