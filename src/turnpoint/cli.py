@@ -5,10 +5,10 @@ diagnostics and the rendered comparison table. Exit codes: 0 success,
 2 spec/expression parse error, 3 convergence failure, 4 invalid physical
 input.
 
-Floats are written with 17 significant digits, and NaN is refused. A list
-of records (scatter's energies, the levels of a solve) is emitted through
-one `%` template per record shape, and a wavefunction CSV row through one
-`%`: both give the text of the value-by-value rendering.
+Floats are written with 17 significant digits, and NaN is refused. Every
+JSON object is emitted through one `%` template per shape (indent, keys,
+value types), and a wavefunction CSV row through one `%`: both give the
+text of the value-by-value rendering.
 """
 
 from __future__ import annotations
@@ -78,59 +78,46 @@ def format_float(value: float) -> str:
 _json_string = json.JSONEncoder(ensure_ascii=False).encode
 
 
-# (indent, keys, value types) of a record in a list -> its `%` template; None
-# where a key is no str, as 1, 1.0 and True are one dict key but print apart
-_TEMPLATES: dict[tuple, str | None] = {}
+# (indent, keys, value types) of a non-empty dict -> its `%` template
+_TEMPLATES: dict[tuple, str] = {}
 
 
-def _template(indent: int, keys: tuple, types: tuple) -> str | None:
-    """An item's text in a list at `indent`: %.17g for a Python float, %s for any other value's text."""
-    if not all(type(k) is str for k in keys):
-        return None
-    pad, inner = "  " * (indent + 1), "  " * (indent + 2)
+def _template(indent: int, keys: tuple, types: tuple) -> str:
+    """A dict's text at `indent`: %.17g for a Python float, %s for any other value's text."""
+    for k in keys:
+        if not isinstance(k, str):  # 1, 1.0 and True are one dict key but print apart
+            raise TypeError(f"cannot serialize a {type(k).__name__} key")
+    pad, inner = "  " * indent, "  " * (indent + 1)
     fields = [f'{inner}"{k}": '.replace("%", "%%") + ("%.17g" if t is float else "%s")
               for k, t in zip(keys, types)]
-    return pad + "{\n" + ",\n".join(fields) + "\n" + pad + "}"
-
-
-def _record(record: dict, indent: int) -> str:
-    """An item of a list at `indent`, filled into the template of its shape."""
-    values = tuple(record.values())
-    shape = (indent, tuple(record), tuple(map(type, values)))
-    if shape not in _TEMPLATES:
-        _TEMPLATES[shape] = _template(*shape)
-    template = _TEMPLATES[shape]
-    if template is None:
-        return "  " * (indent + 1) + to_json(record, indent + 1)
-    # a NaN goes to to_json, whose format_float refuses it
-    return template % tuple([v if type(v) is float and v == v else to_json(v, indent + 2) for v in values])
+    return "{\n" + ",\n".join(fields) + "\n" + pad + "}"
 
 
 def to_json(value, indent: int = 0) -> str:
     """Minimal JSON emitter with stable key order and .17g floats.
 
-    A list whose items are all non-empty dicts is emitted through one `%`
-    template per (indent, keys, value types), kept in `_TEMPLATES`: a
-    Python float fills a %.17g field, which gives `format_float`'s text, and
-    every other value, np.float64 included, its own `to_json` text. The
-    result is the text of the item-by-item rendering, and a NaN is refused
-    with the same ValueError.
+    Every non-empty dict is emitted through one `%` template per (indent,
+    keys, value types), kept in `_TEMPLATES`: a Python float fills a %.17g
+    field, which gives `format_float`'s text, and every other value,
+    np.float64 included, its own `to_json` text. A NaN is refused with
+    `format_float`'s ValueError, and a key that is no str with a TypeError.
     """
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = [f'{inner}"{k}": {to_json(v, indent + 1)}' for k, v in value.items()]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        values = tuple(value.values())
+        shape = (indent, tuple(value), tuple(map(type, values)))
+        template = _TEMPLATES.get(shape)
+        if template is None:
+            template = _TEMPLATES[shape] = _template(*shape)
+        # a NaN goes to to_json, whose format_float refuses it
+        return template % tuple([v if type(v) is float and v == v else to_json(v, indent + 1) for v in values])
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if all(isinstance(v, dict) and v for v in value):
-            items = [_record(v, indent) for v in value]
-        else:
-            items = [f"{inner}{to_json(v, indent + 1)}" for v in value]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+        inner = "  " * (indent + 1)
+        items = [inner + to_json(v, indent + 1) for v in value]
+        return "[\n" + ",\n".join(items) + "\n" + "  " * indent + "]"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
@@ -221,16 +208,12 @@ def run_scatter(u0: float, energies: list[float], x_probe: float, units: UnitSys
     records = []
     for E in energies:
         coeffs = scattering.match_coefficients(E, u0, units)
-        if coeffs.regime == scattering.REGIME_BELOW:
-            t_at_x = 0.0
-        else:  # scattering.transmission_at, from the coefficients at hand
-            t_at_x = coeffs.T0 * math.exp(-2.0 * coeffs.a * x_probe)
         record = {
             "E": E,
             "regime": coeffs.regime,
             "R": coeffs.R,
             "T0": coeffs.T0,
-            "T_at_x": t_at_x,
+            "T_at_x": coeffs.transmission(x_probe),  # 0 below the barrier, where T0 = 0
             "standard_R": reference.standard_step_R(E, u0, units),
         }
         if E <= u0:

@@ -9,11 +9,11 @@ keep the bracket and bound the work where interpolation fails.
 
 Brackets of x come from one sign-change rule, `sign_changes`, applied to a
 scan given as arrays of abscissae and values with NaN at the points that
-could not be evaluated (`tabulate` builds such values from a callable);
-the solver applies it to E - U read from its table of U. Brackets of an
-energy level come from one upward search, `bracket_roots`: steps that grow
-from a point below the level until the residual turns, and halve once they
-overshoot the points where it can be evaluated.
+could not be evaluated; the solver applies it to E - U read from its table
+of U. Brackets of an energy level come from one upward search,
+`bracket_roots`: steps that grow from a point below the level until the
+residual turns, and halve once they overshoot the points where it can be
+evaluated.
 
 Every integral (S, Q, the norm) is one globally adaptive Gauss-Kronrod 7-15
 rule, `integrate`: open nodes need no code for walls or endpoint
@@ -76,17 +76,6 @@ class Tolerances:
             value = getattr(self, name)
             if not (value > 0.0 and math.isfinite(value)):
                 raise InvalidInput(f"{name} must be positive and finite, got {value}")
-
-
-def tabulate(f: Callable[[float], float], xs: Sequence[float]) -> np.ndarray:
-    """f at each x, NaN where f raises an evaluation error."""
-    values = []
-    for x in xs:
-        try:
-            values.append(f(x))
-        except _EVAL_ERRORS:
-            values.append(math.nan)
-    return np.array(values, dtype=float)
 
 
 def sign_changes(xs: Sequence[float], values: np.ndarray) -> list[Bracket]:

@@ -1,13 +1,13 @@
 """Potential data model: unit system, built-in families, closed-form
 turning points and action integrals, and pointwise evaluation.
 
-Each built-in family is a dataclass that evaluates U and knows its domain,
-minimum, length and energy scales, and, where they exist, its closed-form
-turning points and Q(x) antiderivative, a known ground-energy estimate and
-the inverse-square pole the Numerov box must avoid; everything else falls
-back to the numeric kernel. Infinite walls are represented by DomainError outside
-the finite domain, never by a sentinel infinity, so quadrature and
-bracketing never sample infinite values.
+Each built-in family is a dataclass that writes U once, as the numpy formula
+`evaluate_grid` (the pointwise `evaluate` is it at one point), and knows its
+domain, minimum, length and energy scales, and, where they exist, its closed-form
+turning points and Q(x) antiderivative, a known ground-energy estimate and the
+inverse-square pole the Numerov box must avoid; everything else falls back to the
+numeric kernel. Infinite walls are represented by DomainError outside the finite
+domain, never by a sentinel infinity, so quadrature and bracketing never sample it.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import expressions, numerics
+from . import expressions
 from .errors import DomainError, InvalidEnergy, InvalidInput, SpecParseError
 
 
@@ -28,17 +28,14 @@ class UnitSystem:
 
     hbar: float = 1.0
     mass: float = 1.0
+    m1: float = field(init=False, repr=False, compare=False)  # sqrt(2 m) / hbar, wavenumber per sqrt(energy)
 
     def __post_init__(self):
         if not (self.hbar > 0.0 and math.isfinite(self.hbar)):
             raise InvalidInput(f"hbar must be positive, got {self.hbar}")
         if not (self.mass > 0.0 and math.isfinite(self.mass)):
             raise InvalidInput(f"mass must be positive, got {self.mass}")
-
-    @property
-    def m1(self) -> float:
-        """sqrt(2 m) / hbar, the wavenumber scale per unit sqrt(energy)."""
-        return math.sqrt(2.0 * self.mass) / self.hbar
+        object.__setattr__(self, "m1", math.sqrt(2.0 * self.mass) / self.hbar)
 
 
 @dataclass(frozen=True)
@@ -77,8 +74,8 @@ class TurningPoints:
 @dataclass(frozen=True)
 class PotentialSpec:
     """Base of the well families: a family is a frozen dataclass whose fields
-    are its parameters, and it overrides `evaluate` and the defaults below
-    that do not fit it."""
+    are its parameters, and it overrides `evaluate_grid` and the defaults
+    below that do not fit it; `evaluate` follows from those."""
 
     kind = "abstract"
     closed_form = False  # closed-form turning points and Q
@@ -90,14 +87,23 @@ class PotentialSpec:
             if not (value > 0.0 and math.isfinite(value)):
                 raise InvalidInput(f"{self.kind}: parameter {f.name} must be positive, got {value}")
 
-    def evaluate(self, x: float, units: UnitSystem) -> float:
-        """Pointwise U(x). Raises DomainError outside the domain or at a pole."""
+    def evaluate_grid(self, xs: np.ndarray, units: UnitSystem) -> np.ndarray:
+        """U at the points xs, the family's one formula; relied on only inside the domain, off any pole."""
         raise NotImplementedError
 
-    def evaluate_grid(self, xs: np.ndarray, units: UnitSystem) -> np.ndarray:
-        """U at the points xs, NaN where `evaluate` raises. A closed-form
-        family's numpy form is only called inside the domain, off any pole."""
-        return numerics.tabulate(lambda x: self.evaluate(x, units), xs.tolist())
+    def evaluate(self, x: float, units: UnitSystem) -> float:
+        """Pointwise U(x), `evaluate_grid` at the one point x. Raises DomainError
+        outside the open domain, at a pole at x = 0 and where U is not finite."""
+        dom = self.domain()
+        if not dom.contains(x):
+            raise DomainError(f"x={x} outside the {self.kind} domain ({dom.lo}, {dom.hi})")
+        if x == 0.0 and self.pole_coeff is not None:
+            raise DomainError("pole at x=0")
+        with np.errstate(all="ignore"):
+            u = float(self.evaluate_grid(np.array([x], dtype=float), units)[0])
+        if not math.isfinite(u):
+            raise DomainError(f"U({x}) = {u} is not finite")
+        return u
 
     def domain(self) -> Domain:
         """The domain on which the potential may be evaluated."""
@@ -156,11 +162,6 @@ class InfiniteSquareWell(PotentialSpec):
     kind = "isw"
     closed_form = True
 
-    def evaluate(self, x, units):
-        if not 0.0 < x < self.L:
-            raise DomainError(f"x={x} outside the square well (0, {self.L})")
-        return 0.0
-
     def evaluate_grid(self, xs, units):
         return np.zeros(len(xs))
 
@@ -186,9 +187,6 @@ class HarmonicOscillator(PotentialSpec):
     kind = "sho"
     closed_form = True
 
-    def evaluate(self, x, units):
-        return 0.5 * units.mass * self.omega ** 2 * x * x
-
     def evaluate_grid(self, xs, units):
         return 0.5 * units.mass * self.omega ** 2 * xs * xs
 
@@ -212,15 +210,6 @@ class TrigWell(PotentialSpec):
     a: float
     kind = "trig"
     closed_form = True
-
-    def evaluate(self, x, units):
-        if not 0.0 < x < self.a:
-            raise DomainError(f"x={x} outside the trig well (0, {self.a})")
-        s = math.sin(math.pi * x / self.a)
-        if s == 0.0:
-            raise DomainError(f"cot pole at x={x}")
-        c = math.cos(math.pi * x / self.a)
-        return self.u0 * (c / s) ** 2
 
     def evaluate_grid(self, xs, units):
         return self.u0 * (np.cos(np.pi * xs / self.a) / np.sin(np.pi * xs / self.a)) ** 2
@@ -250,9 +239,6 @@ class VWell(PotentialSpec):
     u0: float
     kind = "vwell"
     closed_form = True
-
-    def evaluate(self, x, units):
-        return self.u0 * abs(x)
 
     def evaluate_grid(self, xs, units):
         return self.u0 * np.abs(xs)
@@ -291,11 +277,6 @@ class ParabolicWell(PotentialSpec):
     def pole_coeff(self):
         return self.u0 * self.a ** 2
 
-    def evaluate(self, x, units):
-        if x <= 0.0:
-            raise DomainError(f"x={x} outside the parabolic well (x > 0)")
-        return self.u0 * (self.a / x - x / self.a) ** 2
-
     def evaluate_grid(self, xs, units):
         return self.u0 * (self.a / xs - xs / self.a) ** 2
 
@@ -328,11 +309,6 @@ class QuadraticInverse(PotentialSpec):
     @property
     def pole_coeff(self):
         return self.b
-
-    def evaluate(self, x, units):
-        if x == 0.0:
-            raise DomainError("pole at x=0")
-        return self.a * x * x + self.b / (x * x)
 
     def evaluate_grid(self, xs, units):
         return self.a * xs * xs + self.b / (xs * xs)
@@ -368,8 +344,8 @@ class Step(PotentialSpec):
     u0: float
     kind = "step"
 
-    def evaluate(self, x, units):
-        return 0.0 if x < 0.0 else self.u0
+    def evaluate_grid(self, xs, units):
+        return np.where(xs < 0.0, 0.0, self.u0)
 
     def energy_scale(self, units):
         raise InvalidInput("the step potential has no bound levels; use the scatter subcommand")

@@ -35,6 +35,10 @@ class ScatteringCoefficients:
     R: float
     T0: float
 
+    def transmission(self, x: float) -> float:
+        """T(x) = T0 * exp(-2 a x) at x >= 0; 0 where T0 is, even if a * x is inf * 0."""
+        return self.T0 * math.exp(-2.0 * self.a * x) if self.T0 else 0.0
+
 
 def match_coefficients(
     E: float, U0: float, units: UnitSystem | None = None
@@ -78,7 +82,7 @@ def transmission_at(
     coeffs = match_coefficients(E, U0, units)
     if coeffs.regime == REGIME_BELOW:
         raise InvalidRegime("below the barrier T vanishes identically; use match_coefficients")
-    return coeffs.T0 * math.exp(-2.0 * coeffs.a * x)
+    return coeffs.transmission(x)
 
 
 def raw_subbarrier_R(E: float, U0: float) -> float:

@@ -112,9 +112,7 @@ class WaveFunctionDescriptor:
         return math.cos(phase) if self.level.uses_cosine else math.sin(phase)
 
     def __call__(self, x: float) -> float:
-        if not self.tp.x1 <= x <= self.tp.x2:
-            return 0.0
-        return self.amplitude * self.trig_factor(x) * math.exp(-self.q_eval(x))
+        return sample(self, [x])[0][1]
 
 
 class _UTable:
@@ -126,7 +124,7 @@ class _UTable:
     wells that scan, expressions and the step, `evaluate_grid` gives NaN
     exactly where `evaluate` raises and its bits elsewhere, so scanning the
     table gives exactly the brackets `numerics.sign_changes` gives over
-    `numerics.tabulate` of f(x) = E - U(x) at those abscissae.
+    f(x) = E - U(x) evaluated point by point, NaN where that raises.
     """
 
     def __init__(self, spec: PotentialSpec, units: UnitSystem):
@@ -383,8 +381,7 @@ def normalize(desc: WaveFunctionDescriptor, tol: Tolerances | None = None) -> Wa
 
 def sample(desc: WaveFunctionDescriptor, grid: list[float]) -> list[tuple[float, float]]:
     """Pointwise (x, psi(x)) over an ascending grid; zero outside the well.
-    psi(x) is `desc(x)` bit for bit: the same float operations in the same
-    order, with the descriptor's fields read once."""
+    The one formula for psi: `desc(x)` is this at the one point x."""
     tp, level = desc.tp, desc.level
     x1, x2, x0, d = tp.x1, tp.x2, tp.x0, tp.d
     qpi, amp, q, exp = level.q * math.pi, desc.amplitude, desc.q_eval, math.exp

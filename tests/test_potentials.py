@@ -47,6 +47,25 @@ _DOMAINS = st.one_of(
 )
 
 
+def _math_u(spec, x, units):
+    """U(x) by the scalar math formulas the families once had, the oracle of
+    `evaluate_grid`; an expression's own closure for `expr`."""
+    kind = spec.kind
+    if kind == "isw":
+        return 0.0
+    if kind == "sho":
+        return 0.5 * units.mass * spec.omega ** 2 * x * x
+    if kind == "trig":
+        return spec.u0 * (math.cos(math.pi * x / spec.a) / math.sin(math.pi * x / spec.a)) ** 2
+    if kind == "vwell":
+        return spec.u0 * abs(x)
+    if kind == "parab":
+        return spec.u0 * (spec.a / x - x / spec.a) ** 2
+    if kind == "axb":
+        return spec.a * x * x + spec.b / (x * x)
+    return spec.evaluate(x, units)
+
+
 def _u_outcome(spec, x):
     """U(x) as its bits, or the exception's type and message."""
     try:
@@ -213,6 +232,32 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             potentials.evaluate(spec, 2.0, U)
 
+    # outside the open domain, at the pole, and where U is not finite: the last four
+    # raised ZeroDivisionError, OverflowError or returned inf when each family wrote
+    # its own scalar formula
+    @pytest.mark.parametrize("text, x, match", [
+        ("isw:L=2", 0.0, "outside the isw domain"),
+        ("isw:L=2", 2.0, "outside the isw domain"),
+        ("trig:u0=1,a=3", 3.0, "outside the trig domain"),
+        ("parab:u0=1,a=1", 0.0, "outside the parab domain"),
+        ("axb:a=1,b=1", 0.0, "^pole at x=0$"),
+        ("axb:a=1,b=1", 1e-200, "is not finite"),
+        ("parab:u0=1,a=1", 1e-160, "is not finite"),
+        ("trig:u0=1,a=1", 1e-300, "is not finite"),
+        ("sho:omega=1", 1e200, "is not finite"),
+    ])
+    def test_evaluate_refuses_with_a_domain_error(self, text, x, match):
+        with pytest.raises(DomainError, match=match):
+            potentials.evaluate(parse_potential_spec(text), x, U)
+
+    def test_evaluate_is_the_grid_formula_at_one_point(self):
+        for spec in TestFamilyHooks.SIX + [Step(u0=3.0)]:
+            for x in (-1.5, -0.25, 0.1, 0.3, 1.7):
+                if spec.domain().contains(x):
+                    u = potentials.evaluate(spec, x, U)
+                    assert type(u) is float
+                    assert u.hex() == float(spec.evaluate_grid(np.array([x]), U)[0]).hex()
+
 
 class TestAnalyticTurningPoints:
     @pytest.mark.parametrize(
@@ -375,7 +420,7 @@ class TestFamilyHooks:
         xs = [x for x in sorted(lo + (hi - lo) * t for t in fractions) if spec.domain().contains(x) and x != 0.0]
         assume(xs)
         grid = spec.evaluate_grid(np.array(xs), units)
-        points = np.array([spec.evaluate(x, units) for x in xs])
+        points = np.array([_math_u(spec, x, units) for x in xs])
         assert grid.dtype == np.float64 and grid.shape == points.shape
         # np.sin, np.cos and ** 2 may round differently from math; trig and
         # parab are >= 0, so the distance of the bit patterns counts ulps
@@ -387,6 +432,12 @@ class TestUnitSystem:
     def test_m1_definition(self):
         u = UnitSystem(hbar=2.0, mass=8.0)
         assert u.m1 == math.sqrt(2.0 * 8.0) / 2.0
+
+    def test_m1_is_no_parameter(self):
+        u = UnitSystem(hbar=2.0, mass=8.0)
+        assert u == UnitSystem(2.0, 8.0) and hash(u) == hash(UnitSystem(2.0, 8.0))
+        assert repr(u) == "UnitSystem(hbar=2.0, mass=8.0)"
+        assert pickle.loads(pickle.dumps(u)).m1 == u.m1
 
     def test_positive_required(self):
         with pytest.raises(Exception):

@@ -66,6 +66,12 @@ class TestTransmissionProfile:
         t1 = scattering.transmission_at(E, u0, 1.0, U)
         assert t1 == pytest.approx(c.T0 * math.exp(-2.0 * c.a), rel=1e-12)
 
+    def test_transmission_at_is_the_coefficients_formula_bit_for_bit(self):
+        for E, x in [(2.0, 0.0), (2.0, 0.7), (1.0, 3.0), (1e300, 1e-3)]:
+            c = scattering.match_coefficients(E, 1.0, U)
+            expected = c.T0 * math.exp(-2.0 * c.a * x)
+            assert scattering.transmission_at(E, 1.0, x, U).hex() == c.transmission(x).hex() == expected.hex()
+
     def test_value_at_zero_is_t0(self):
         E, u0 = 2.0, 1.0
         c = scattering.match_coefficients(E, u0, U)
@@ -85,6 +91,13 @@ class TestBelowBarrier:
         c = scattering.match_coefficients(0.3, 1.0, U)
         assert c.R == 1.0
         assert c.T0 == 0.0
+
+    @pytest.mark.parametrize("x", [0.0, 1.0, 1e300])
+    @pytest.mark.parametrize("hbar", [1.0, 1e-310], ids=["finite a", "a = inf"])
+    def test_transmission_is_zero_everywhere(self, x, hbar):
+        # with a = inf at x = 0 the formula alone would give 0 * exp(nan)
+        c = scattering.match_coefficients(0.3, 1.0, UnitSystem(hbar=hbar))
+        assert c.transmission(x) == 0.0
 
     def test_raw_ratio_limit_matches_above_barrier(self):
         # the raw sub-barrier expression at E = U0 agrees with R = 0.20
