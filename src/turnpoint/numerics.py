@@ -7,13 +7,15 @@ residuals here have kinks (|x|) and poles (cot^2). Brent's interpolation
 steps converge superlinearly on smooth stretches, and its bisection steps
 keep the bracket and bound the work where interpolation fails.
 
-Brackets of x come from one sign-change rule, `sign_changes`, applied to a
+Brackets of x come from one sign-change rule, `sign_changes`, stated over a
 scan given as arrays of abscissae and values with NaN at the points that
-could not be evaluated; the solver applies it to E - U read from its table
-of U. Brackets of an energy level come from one upward search,
-`bracket_roots`: steps that grow from a point below the level until the
-residual turns, and halve once they overshoot the points where it can be
-evaluated.
+could not be evaluated. The solver's table of U keeps the rule without
+the sweep: it indexes each neighbour pair by its range of U once, and at
+an energy E takes the rule only on the pairs whose range holds E, which
+give exactly these brackets of E - U. Brackets of an energy level come
+from one upward search, `bracket_roots`: steps that grow from a point
+below the level until the residual turns, and halve once they overshoot
+the points where it can be evaluated.
 
 Every integral (S, Q, the norm) is one globally adaptive Gauss-Kronrod 7-15
 rule, `integrate`: open nodes need no code for walls or endpoint

@@ -319,15 +319,14 @@ def shoot_bound_states(
 
 def standard_step_R(E: float, U0: float, units: UnitSystem | None = None) -> float:
     """Textbook step reflection: R = ((K - K2)/(K + K2))^2 above the step,
-    R = 1 at or below it."""
-    units = units or UnitSystem()
+    R = 1 at or below it. K = m1*sqrt(E) and K2 = m1*sqrt(E - U0) share m1,
+    which cancels, so R is computed without it and holds where m1 is inf;
+    `units` is accepted for symmetry with the other step formulas."""
     if not (E > 0.0 and math.isfinite(E)):
         raise InvalidInput(f"E must be positive, got {E}")
     if not (U0 > 0.0 and math.isfinite(U0)):
         raise InvalidInput(f"U0 must be positive, got {U0}")
     if E <= U0:
         return 1.0
-    m1 = units.m1
-    K = m1 * math.sqrt(E)
-    K2 = m1 * math.sqrt(E - U0)
-    return ((K - K2) / (K + K2)) ** 2
+    k, k2 = math.sqrt(E), math.sqrt(E - U0)
+    return ((k - k2) / (k + k2)) ** 2

@@ -30,20 +30,30 @@ class ScatteringCoefficients:
     regime: str
     K: float  # incident wavenumber m1 * sqrt(E)
     a: float  # barrier constant m1 * sqrt(U0)
-    b1_over_a1: complex  # reflected/incident amplitude (raw matching)
-    a2_over_a1: complex  # transmitted/incident amplitude (raw matching)
     R: float
     T0: float
 
+    @property
+    def b1_over_a1(self) -> complex:  # reflected/incident amplitude (raw matching)
+        K, a = self.K, self.a
+        return (1j * (K - a) - K) / (1j * (K + a) + K) if self.regime == REGIME_BELOW else a / (2j * K - a)
+
+    @property
+    def a2_over_a1(self) -> complex:  # transmitted/incident amplitude (raw matching)
+        K, a = self.K, self.a
+        return 2j * K / (K + 1j * (K - a)) if self.regime == REGIME_BELOW else 2j * K / (2j * K - a)
+
     def transmission(self, x: float) -> float:
-        """T(x) = T0 * exp(-2 a x) at x >= 0; 0 where T0 is, even if a * x is inf * 0."""
-        return self.T0 * math.exp(-2.0 * self.a * x) if self.T0 else 0.0
+        """T(x) = T0 * exp(-2 a x) at x >= 0; T0 itself at x = 0 and where T0 = 0,
+        so an a that overflowed to inf never meets inf * 0."""
+        return self.T0 * math.exp(-2.0 * self.a * x) if self.T0 and x else self.T0
 
 
 def match_coefficients(
     E: float, U0: float, units: UnitSystem | None = None
 ) -> ScatteringCoefficients:
-    """Amplitude ratios and R, T0 for a step of height U0 at energy E.
+    """R, T0 and the wavenumbers for a step of height U0 at energy E; the raw
+    amplitude ratios follow from K, a and the regime on demand.
 
     E = U0 is classified as above-barrier (both regimes give R = 0.20
     there); the above-barrier formulas apply so T0 = 0.80 is reported.
@@ -57,19 +67,13 @@ def match_coefficients(
     K = m1 * math.sqrt(E)
     a = m1 * math.sqrt(U0)
     if E >= U0:
-        denom = 2j * K - a
-        b1 = a / denom
-        a2 = 2j * K / denom
         s = 2.0 ** -8 if E > _HUGE else 1.0  # 4E + U0 can overflow; scaling by s is exact
         R = U0 * s / (4.0 * (E * s) + U0 * s)
         T0 = 1.0 - R  # keeps the T0 + R = 1 identity within one rounding
         regime = REGIME_ABOVE if E > U0 else REGIME_AT
-        return ScatteringCoefficients(regime, K, a, b1, a2, R, T0)
-    # sub-barrier: raw matched ratios, then the physical resolution A2 = 0
-    denom = 1j * (K + a) + K
-    b1 = (1j * (K - a) - K) / denom
-    a2 = 2j * K / (K + 1j * (K - a))
-    return ScatteringCoefficients(REGIME_BELOW, K, a, b1, a2, R=1.0, T0=0.0)
+        return ScatteringCoefficients(regime, K, a, R, T0)
+    # sub-barrier: the physical resolution A2 = 0 of the raw matched ratios
+    return ScatteringCoefficients(REGIME_BELOW, K, a, R=1.0, T0=0.0)
 
 
 def transmission_at(

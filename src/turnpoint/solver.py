@@ -18,9 +18,10 @@ the last gap.
 
 Wells without closed-form turning points (expressions, the step) find them
 from sign changes of E - U(x) on a grid. U does not depend on E, so a
-spectrum solve tabulates U once on each grid it scans, and every trial
-energy reads its scans from those tables; only the root refinements of the
-turning points (`numerics.bisect`) evaluate U anew.
+spectrum solve tabulates and indexes U once on each grid it scans, and
+every trial energy reads its brackets from those tables (`_UTable`); only
+the root refinements of the turning points (`numerics.bisect`) evaluate U
+anew.
 """
 
 from __future__ import annotations
@@ -119,26 +120,42 @@ class _UTable:
     """U(x) of one (spec, units) on each scan grid lo + (hi - lo) * i / n_grid.
 
     U does not depend on E, so one table serves every turning-point scan
-    of a spectrum solve: a grid is evaluated by one `evaluate_grid` call
-    when a scan first needs it, and a later energy only subtracts. On the
-    wells that scan, expressions and the step, `evaluate_grid` gives NaN
-    exactly where `evaluate` raises and its bits elsewhere, so scanning the
-    table gives exactly the brackets `numerics.sign_changes` gives over
-    f(x) = E - U(x) evaluated point by point, NaN where that raises.
+    of a spectrum solve. A grid is evaluated by one `evaluate_grid` call
+    when a scan first needs it, and each neighbour pair on it is indexed by
+    its range [low, high] of U, an empty one (+inf, -inf) where U is not
+    finite. An IEEE subtraction keeps the exact sign and gives zero only at
+    E = U, so E - U changes sign or meets zero across a pair exactly when
+    low <= E <= high: a later energy compares itself with the ranges and
+    applies `numerics.sign_changes`' rule, in Python floats, to the few
+    pairs that match. On the wells that scan, expressions and the step,
+    `evaluate_grid` gives NaN exactly where `evaluate` raises and its bits
+    elsewhere, so the table gives exactly the brackets
+    `numerics.sign_changes` gives over f(x) = E - U(x) evaluated point by
+    point, NaN where that raises.
     """
 
     def __init__(self, spec: PotentialSpec, units: UnitSystem):
         self.spec, self.units = spec, units
-        self.grids = {}  # n_grid -> (abscissae, U)
+        self.grids = {}  # n_grid -> (abscissae, U, low, high)
 
     def brackets(self, E: float, n_grid: int) -> list[numerics.Bracket]:
-        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are skipped points
-            if n_grid not in self.grids:
-                lo, hi = self.spec.span()
+        if n_grid not in self.grids:
+            lo, hi = self.spec.span()
+            with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are skipped points
                 xs = lo + (hi - lo) * np.arange(n_grid + 1) / n_grid
-                self.grids[n_grid] = xs, self.spec.evaluate_grid(xs, self.units)
-            xs, u = self.grids[n_grid]
-            return numerics.sign_changes(xs, E - u)
+                u = self.spec.evaluate_grid(xs, self.units)
+            finite = np.isfinite(u[:-1]) & np.isfinite(u[1:])
+            low = np.where(finite, np.minimum(u[:-1], u[1:]), np.inf)
+            high = np.where(finite, np.maximum(u[:-1], u[1:]), -np.inf)
+            self.grids[n_grid] = xs.tolist(), u.tolist(), low, high
+        xs, u, low, high = self.grids[n_grid]
+        out = []
+        for i in ((low <= E) & (E <= high)).nonzero()[0].tolist():
+            f_lo, f_hi = E - u[i], E - u[i + 1]  # may overflow to inf, a skipped point
+            # a zero on the right is left to the next pair, except at the last point
+            if math.isfinite(f_lo) and math.isfinite(f_hi) and (f_hi != 0.0 or (i == n_grid - 1 and f_lo != 0.0)):
+                out.append(numerics.Bracket(xs[i], xs[i + 1], f_lo, f_hi))
+        return out
 
 
 def turning_points(

@@ -252,6 +252,17 @@ class TestScatter:
         a = math.sqrt(2.0)  # m1 sqrt(U0)
         assert rec["T_at_x"] == pytest.approx(rec["T0"] * math.exp(-2.0 * a), rel=1e-12)
 
+    @pytest.mark.parametrize("probe,t_at_x", [([], 6.0 / 7.0), (["--x", "1"], 0.0)])
+    def test_overflowing_wavenumber_scale_is_strict_json(self, probe, t_at_x, capsys):
+        # hbar = 1e-310 makes m1 = sqrt(2m)/hbar inf, so K and a are inf; m1
+        # cancels from R, T0, T(0) and the textbook R, and T(x > 0) is exp(-inf)
+        code, out, err = run(["scatter", "--u0", "2", "--energy", "3", "--hbar", "1e-310", *probe], capsys)
+        assert (code, err) == (0, "")
+        (rec,) = json.loads(out, parse_constant=_reject_constant)["records"]
+        assert rec["R"] == pytest.approx(1.0 / 7.0, rel=1e-15)
+        assert rec["T_at_x"] == pytest.approx(t_at_x, rel=1e-15)
+        assert rec["standard_R"] == pytest.approx(7.0 - 4.0 * math.sqrt(3.0), rel=1e-13)
+
     def test_missing_energy_is_invalid(self, capsys):
         code, _, err = run(["scatter", "--u0", "1"], capsys)
         assert code == 4

@@ -72,6 +72,13 @@ class TestTransmissionProfile:
             expected = c.T0 * math.exp(-2.0 * c.a * x)
             assert scattering.transmission_at(E, 1.0, x, U).hex() == c.transmission(x).hex() == expected.hex()
 
+    @pytest.mark.parametrize("E,u0", [(1.0, 1.0), (3.0, 2.0)])
+    def test_value_at_zero_is_t0_where_a_is_inf(self, E, u0):
+        # hbar = 1e-310 makes a = m1 sqrt(U0) inf; exp(-2 a x) alone would be exp(nan) at x = 0
+        c = scattering.match_coefficients(E, u0, UnitSystem(hbar=1e-310))
+        assert c.a == math.inf
+        assert c.transmission(0.0) == c.T0 and c.transmission(1.0) == 0.0
+
     def test_value_at_zero_is_t0(self):
         E, u0 = 2.0, 1.0
         c = scattering.match_coefficients(E, u0, U)
@@ -102,6 +109,10 @@ class TestBelowBarrier:
     def test_raw_ratio_limit_matches_above_barrier(self):
         # the raw sub-barrier expression at E = U0 agrees with R = 0.20
         assert scattering.raw_subbarrier_R(1.0, 1.0) == pytest.approx(0.2, rel=1e-12)
+
+    def test_raw_amplitude_ratio_gives_the_raw_r(self):
+        c = scattering.match_coefficients(0.25, 1.0, U)
+        assert abs(c.b1_over_a1) ** 2 == pytest.approx(scattering.raw_subbarrier_R(0.25, 1.0), rel=1e-12)
 
     def test_raw_ratio_closed_form(self):
         E, u0 = 0.25, 1.0

@@ -1,11 +1,11 @@
 """Energy levels, S-integral, wavefunction construction and normalization."""
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from turnpoint import numerics, potentials, solver
@@ -346,6 +346,39 @@ def scans(draw):
     return spec, lo, hi, draw(st.lists(st.tuples(energy, _GRIDS), min_size=1, max_size=6))
 
 
+@dataclass(frozen=True)
+class _Column(InfiniteSquareWell):
+    """The box (0, L) whose U on the grid x = 0, 1, ..., L is the column u, as
+    given. A subclass of a family, so the direct subclasses of PotentialSpec
+    stay the registered families."""
+
+    u: tuple = ()
+
+    def __post_init__(self):  # u is not a positive parameter
+        pass
+
+    def evaluate_grid(self, xs, units):
+        assert len(xs) == len(self.u)
+        return np.array(self.u, dtype=float)
+
+
+_EDGE_U = st.sampled_from([0.0, -0.0, math.inf, -math.inf, 1.7e308, -1.7e308, 1.0, -1.0])
+
+
+@st.composite
+def columns(draw):
+    """A U column of signed zeros, NaN runs, infinities and values near the
+    float limit, and energies that meet its values, its last one included."""
+    runs = draw(st.lists(
+        st.lists(_EDGE_U | st.integers(-2, 2).map(float) | st.floats(-3.0, 3.0), min_size=1, max_size=6)
+        | st.integers(1, 4).map(lambda k: [math.nan] * k),
+        min_size=1, max_size=8,
+    ))
+    u = [v for run in runs for v in run] + [draw(_EDGE_U)]
+    energy = st.sampled_from(u) | st.sampled_from([u[-1], 0.0, -0.0, 1.7e308]) | st.floats()
+    return tuple(u), draw(st.lists(energy, min_size=1, max_size=5))
+
+
 def tabulate(f, xs):
     """f at each x, NaN where f raises an evaluation error: the pointwise scan."""
     values = []
@@ -375,6 +408,19 @@ class TestUTable:
         for E, n in steps:
             fresh = _scan(lambda x: E - potentials.evaluate(spec, x, U), lo, hi, n)
             assert _key(table.brackets(E, n)) == _key(fresh)
+
+    @settings(max_examples=300, deadline=None)
+    @given(columns())
+    @example(((-1.7e308, 1.75e308, 1.0, -1.7e308), [1.7e308, 1.0, -1.7e308]))  # E - U overflows to inf
+    @example(((1.0, -0.0, 0.0, -1.0, 0.0), [0.0, -0.0]))  # zeros inside the column and at its end
+    def test_brackets_follow_the_sign_change_rule_bit_for_bit(self, case):
+        u, energies = case
+        table = solver._UTable(_Column(L=len(u) - 1.0, u=u), U)
+        xs = np.arange(len(u), dtype=float)
+        for E in energies:
+            with np.errstate(all="ignore"):
+                rule = numerics.sign_changes(xs, E - np.array(u))
+            assert _key(table.brackets(E, len(u) - 1)) == _key(rule)
 
     def test_grid_points_past_overflow_are_evaluated_again(self):
         # hi * i overflows on the 513-point grid from i = 200 on, where the
