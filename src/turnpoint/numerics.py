@@ -15,7 +15,9 @@ an energy E takes the rule only on the pairs whose range holds E, which
 give exactly these brackets of E - U. Brackets of an energy level come
 from one upward search, `bracket_roots`: steps that grow from a point
 below the level until the residual turns, and halve once they overshoot
-the points where it can be evaluated.
+the points where it can be evaluated. A caller that can prove the residual
+negative more cheaply than evaluating it passes that test, and the search
+steps over the points it proves without evaluating the residual there.
 
 Every integral (S, Q, the norm) is one globally adaptive Gauss-Kronrod 7-15
 rule, `integrate`: open nodes need no code for walls or endpoint
@@ -241,24 +243,28 @@ def _kronrod(f: Callable[[float], float], a: float, b: float) -> tuple[float, fl
 
 
 def solve_self_consistent(
-    g: Callable[[float], float], e_lo: float, e_hi: float, tol: Tolerances | None = None
+    g: Callable[[float], float], e_lo: float, e_hi: float, tol: Tolerances | None = None,
+    skip: Callable[[float], bool] | None = None,
 ) -> float:
     """Root E* of the residual g above e_lo with |g(E*)| <= energy_rel * (1 + E*).
 
     g must be negative, or not evaluable, below the root: every solver
     residual is. Levels sit near the low end of the window [e_lo, e_hi], so
     the bracket is the first sign change of a tenfold `bracket_roots` from
-    e_lo whose first step is (e_hi - e_lo) * 1e-12; e_hi only sets the
-    scale (that step and `_refine`'s absolute tolerance), and the search
-    may pass it. `_refine` then refines the root inside it. The root is the
-    lowest sign change only at the resolution of that search: one tenfold
-    step may pass over two of them.
+    e_lo whose first step is (e_hi - e_lo) * 1e-12, passed `skip`; e_hi only
+    sets the scale (that step and `_refine`'s absolute tolerance), and the
+    search may pass it. `_refine` then refines the root inside it. The root
+    is the lowest sign change only at the resolution of that search: one
+    tenfold step may pass over two of them.
     """
     tol = tol or Tolerances()
-    return _refine(g, bracket_roots(g, e_lo, math.nan, (e_hi - e_lo) * 1e-12, 10.0), tol, e_hi - e_lo)
+    return _refine(g, bracket_roots(g, e_lo, math.nan, (e_hi - e_lo) * 1e-12, 10.0, skip), tol, e_hi - e_lo)
 
 
-def bracket_roots(g: Callable[[float], float], lo: float, f_lo: float, step: float, growth: float) -> Bracket:
+def bracket_roots(
+    g: Callable[[float], float], lo: float, f_lo: float, step: float, growth: float,
+    skip: Callable[[float], bool] | None = None,
+) -> Bracket:
     """The one upward bracket search of every level: the first sign change
     of g above lo, where g(lo) = f_lo < 0 or is NaN (not known). g at
     lo + step, then while g < 0 at the next step, growth times longer, from
@@ -269,9 +275,36 @@ def bracket_roots(g: Callable[[float], float], lo: float, f_lo: float, step: flo
     then on each step is half the last, so the points close in on the stop.
     ConvergenceFailure after 60 points; its message counts the skipped
     points by cause.
+
+    `skip`, where given, is a cheap test that holds only where g < 0 or g
+    is not evaluable. The climb steps over the points where it holds, from
+    the first on, without calling g, evaluates g at the last of them and
+    climbs on from there with the points left. If g there is not finite
+    and < 0, or that climb fails, it climbs again from lo without `skip`.
+    Every failure is the plain climb's, and so is the bracket, unless g is
+    not evaluable at a point stepped over that lies above a finite g (or
+    with f_lo finite), where the plain climb would have stopped; on a single
+    well, where d(E) only grows, only a raise inside a turning-point
+    refinement does that.
     """
+    if skip is not None:
+        x, s, tried = lo, step, 0
+        while tried < _CLIMB_STEPS and skip(x + s):
+            x, s, tried = x + s, s * growth, tried + 1
+        if tried:
+            try:
+                f = g(x)
+                if f < 0.0 and math.isfinite(f):
+                    return _climb(g, x, f, s, growth, tried)
+            except _EVAL_ERRORS:  # a ConvergenceFailure of that climb too
+                pass
+    return _climb(g, lo, f_lo, step, growth, 0)
+
+
+def _climb(g: Callable[[float], float], lo: float, f_lo: float, step: float, growth: float, tried: int) -> Bracket:
+    """`bracket_roots` from its point number `tried`, where it stands at lo."""
     start, top, stopped, causes = lo, lo, False, {}
-    for tried in range(1, _CLIMB_STEPS + 1):
+    for tried in range(tried + 1, _CLIMB_STEPS + 1):
         x = lo + step
         top = max(top, x)
         try:

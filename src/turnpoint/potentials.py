@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -115,6 +116,11 @@ class PotentialSpec:
 
     def min_point(self) -> tuple[float, float] | None:
         """(x, U(x)) at a point where U takes `u_min`, where one is known."""
+        return None
+
+    def tabulated(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(xs, `evaluate_grid` at xs) on the points xs = lo + (hi - lo) * i / n,
+        i = 0..n, of the span, where the family keeps such a table, else None."""
         return None
 
     def scale(self, units: UnitSystem) -> float:
@@ -378,8 +384,24 @@ class Expression(PotentialSpec):
         return self.compiled(x)
 
     def evaluate_grid(self, xs, units):
-        inside = (self.dom.lo < xs) & (xs < self.dom.hi)
-        return np.where(inside, self.compiled_grid(xs), math.nan)
+        return self._inside(xs, self.compiled_grid(xs))
+
+    def _inside(self, xs, u):
+        return np.where((self.dom.lo < xs) & (xs < self.dom.hi), u, math.nan)
+
+    @cached_property
+    def _grid(self):
+        """The one tabulation of U: xs = lo + (hi - lo) * i / 512, i = 0..512,
+        `compiled_grid` there, and that masked to the open domain."""
+        lo, hi = self.dom.lo, self.dom.hi
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN abscissae are not evaluable
+            xs = lo + (hi - lo) * np.arange(513) / 512
+        u = self.compiled_grid(xs)
+        return xs, u, self._inside(xs, u)
+
+    def tabulated(self):
+        xs, _, inside = self._grid
+        return xs, inside
 
     def domain(self):
         return self.dom
@@ -389,10 +411,9 @@ class Expression(PotentialSpec):
 
     def min_point(self):
         """The first point of smallest U on the 511 points lo + (hi - lo) * i / 512,
-        i = 1..511, as a running min keeps; `u_min` is its U."""
-        lo, hi = self.dom.lo, self.dom.hi
-        xs = lo + (hi - lo) * np.arange(1, 512) / 512
-        u = self.compiled_grid(xs)
+        i = 1..511, of the tabulation, as a running min keeps; `u_min` is its U."""
+        xs, u, _ = self._grid
+        xs, u = xs[1:512], u[1:512]
         if np.isnan(u).all():
             raise DomainError("expression potential not evaluable anywhere on its domain")
         i = np.nanargmin(u)

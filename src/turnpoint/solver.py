@@ -21,7 +21,10 @@ from sign changes of E - U(x) on a grid. U does not depend on E, so a
 spectrum solve tabulates and indexes U once on each grid it scans, and
 every trial energy reads its brackets from those tables (`_UTable`); only
 the root refinements of the turning points (`numerics.bisect`) evaluate U
-anew.
+anew. The tables also prove most of a climb's energies below the level:
+a turning point lies in its sign-change cell, so the distance between the
+two cells' outer ends bounds d, and where that bound puts K*d - target
+below zero the climb steps on without a turning-point solve.
 """
 
 from __future__ import annotations
@@ -120,42 +123,67 @@ class _UTable:
     """U(x) of one (spec, units) on each scan grid lo + (hi - lo) * i / n_grid.
 
     U does not depend on E, so one table serves every turning-point scan
-    of a spectrum solve. A grid is evaluated by one `evaluate_grid` call
-    when a scan first needs it, and each neighbour pair on it is indexed by
-    its range [low, high] of U, an empty one (+inf, -inf) where U is not
-    finite. An IEEE subtraction keeps the exact sign and gives zero only at
-    E = U, so E - U changes sign or meets zero across a pair exactly when
-    low <= E <= high: a later energy compares itself with the ranges and
-    applies `numerics.sign_changes`' rule, in Python floats, to the few
-    pairs that match. On the wells that scan, expressions and the step,
-    `evaluate_grid` gives NaN exactly where `evaluate` raises and its bits
-    elsewhere, so the table gives exactly the brackets
-    `numerics.sign_changes` gives over f(x) = E - U(x) evaluated point by
-    point, NaN where that raises.
+    of a spectrum solve. A grid is filled when a scan first needs it: from
+    the spec's own tabulation (`PotentialSpec.tabulated`) at the points whose
+    abscissae it holds bit for bit, every other point by one `evaluate_grid`
+    call. Each neighbour pair on it is indexed by its range [low, high] of U,
+    an empty one (+inf, -inf) where U is not finite. An IEEE subtraction
+    keeps the exact sign and gives zero only at E = U, so E - U changes sign
+    or meets zero across a pair exactly when low <= E <= high: a later energy
+    compares itself with the ranges and applies `numerics.sign_changes`'
+    rule, in Python floats, to the few pairs that match. On the wells that
+    scan, expressions and the step, `evaluate_grid` gives NaN exactly where
+    `evaluate` raises and its bits elsewhere, so the table gives exactly the
+    cells `numerics.sign_changes` brackets over f(x) = E - U(x) evaluated
+    point by point, NaN where that raises.
     """
 
     def __init__(self, spec: PotentialSpec, units: UnitSystem):
         self.spec, self.units = spec, units
         self.grids = {}  # n_grid -> (abscissae, U, low, high)
 
-    def brackets(self, E: float, n_grid: int) -> list[numerics.Bracket]:
+    def _fill(self, n_grid: int) -> tuple[list, list, np.ndarray, np.ndarray]:
+        lo, hi = self.spec.span()
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are skipped points
+            xs = lo + (hi - lo) * np.arange(n_grid + 1) / n_grid
+        known = self.spec.tabulated()
+        stride, rest = divmod(len(known[0]) - 1, n_grid) if known else (0, 0)
+        if not stride or rest:
+            u = self.spec.evaluate_grid(xs, self.units)
+        else:  # where (hi - lo) * i overflows, the shared points need not be ours
+            known_xs, u = (column[::stride] for column in known)
+            stale = xs.view(np.int64) != known_xs.view(np.int64)
+            if stale.any():
+                u = u.copy()
+                u[stale] = self.spec.evaluate_grid(xs[stale], self.units)
+        finite = np.isfinite(u[:-1]) & np.isfinite(u[1:])
+        low = np.where(finite, np.minimum(u[:-1], u[1:]), np.inf)
+        high = np.where(finite, np.maximum(u[:-1], u[1:]), -np.inf)
+        return xs.tolist(), u.tolist(), low, high
+
+    def cells(self, E: float, n_grid: int) -> list[tuple[float, float, float, float]]:
+        """(x_lo, x_hi, E - U(x_lo), E - U(x_hi)) of each sign-change pair on
+        one grid, the fields of the `numerics.Bracket` over it."""
         if n_grid not in self.grids:
-            lo, hi = self.spec.span()
-            with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are skipped points
-                xs = lo + (hi - lo) * np.arange(n_grid + 1) / n_grid
-                u = self.spec.evaluate_grid(xs, self.units)
-            finite = np.isfinite(u[:-1]) & np.isfinite(u[1:])
-            low = np.where(finite, np.minimum(u[:-1], u[1:]), np.inf)
-            high = np.where(finite, np.maximum(u[:-1], u[1:]), -np.inf)
-            self.grids[n_grid] = xs.tolist(), u.tolist(), low, high
+            self.grids[n_grid] = self._fill(n_grid)
         xs, u, low, high = self.grids[n_grid]
         out = []
         for i in ((low <= E) & (E <= high)).nonzero()[0].tolist():
             f_lo, f_hi = E - u[i], E - u[i + 1]  # may overflow to inf, a skipped point
             # a zero on the right is left to the next pair, except at the last point
             if math.isfinite(f_lo) and math.isfinite(f_hi) and (f_hi != 0.0 or (i == n_grid - 1 and f_lo != 0.0)):
-                out.append(numerics.Bracket(xs[i], xs[i + 1], f_lo, f_hi))
+                out.append((xs[i], xs[i + 1], f_lo, f_hi))
         return out
+
+    def turning_cells(self, E: float) -> list[tuple[float, float, float, float]]:
+        """The cells of the first scan grid that shows at least two, else of
+        the finest: the next grid is scanned only when the last showed fewer
+        (a turning point next to an open domain end may need a fine one)."""
+        for n_grid in _SCAN_GRIDS:
+            cells = self.cells(E, n_grid)
+            if len(cells) >= 2:
+                break
+        return cells
 
 
 def turning_points(
@@ -169,36 +197,30 @@ def turning_points(
     bracketed roots of f(x) = E - U(x), refined by `numerics.bisect`.
 
     The brackets come from sign changes of E - U on grids of 257, 513, ...
-    up to 4097 points, the next one scanned only when the last showed fewer
-    than two (a turning point next to an open domain end may need a fine one).
-    U on each grid is evaluated once and kept in `_table`, which a level
-    solve shares across all its energies; without one, a table for this
-    call alone is used. For a well mirrored about a pole (`axb`) the
-    positive-side pair is returned (the mirrored well carries the same
-    spectrum by symmetry).
+    up to 4097 points (`_UTable.turning_cells`). U on each grid is
+    evaluated once and kept in `_table`, which a level solve shares across
+    all its energies; without one, a table for this call alone is used. For
+    a well mirrored about a pole (`axb`) the positive-side pair is returned
+    (the mirrored well carries the same spectrum by symmetry).
     """
     units = units or UnitSystem()
     tol = tol or Tolerances()
     pairs = potentials.analytic_turning_points(spec, E, units)
     if pairs is not None:
         return pairs[-1]
-    table = _table or _UTable(spec, units)
+    cells = (_table or _UTable(spec, units)).turning_cells(E)
+    if len(cells) < 2:
+        raise NoBoundRegion(f"found {len(cells)} turning point(s) at E={E}")
+    if len(cells) > 2:
+        raise AmbiguousWells(
+            f"found {len(cells)} turning points at E={E}; narrow the domain"
+        )
 
     def f(x: float) -> float:
         return E - potentials.evaluate(spec, x, units)
 
-    for n_grid in _SCAN_GRIDS:
-        brackets = table.brackets(E, n_grid)
-        if len(brackets) >= 2:
-            break
-    if len(brackets) < 2:
-        raise NoBoundRegion(f"found {len(brackets)} turning point(s) at E={E}")
-    if len(brackets) > 2:
-        raise AmbiguousWells(
-            f"found {len(brackets)} turning points at E={E}; narrow the domain"
-        )
-    x1 = numerics.bisect(f, brackets[0], tol)
-    x2 = numerics.bisect(f, brackets[1], tol)
+    x1 = numerics.bisect(f, numerics.Bracket(*cells[0]), tol)
+    x2 = numerics.bisect(f, numerics.Bracket(*cells[1]), tol)
     return TurningPoints(x1, x2)
 
 
@@ -259,14 +281,24 @@ def _rung(
             return -math.inf  # not evaluable: E below any admissible level
         return m1 * math.sqrt(E) * d - target
 
+    def below_level(E: float) -> bool:
+        # bisect keeps x1 and x2 in their cells, so d is at most the distance of
+        # the outer cell ends; IEEE rounding is monotone, so the residual's own
+        # operations on that distance bound the residual from above
+        if not E > 0.0:
+            return False
+        cells = shared.table.turning_cells(E)
+        return len(cells) == 2 and m1 * math.sqrt(E) * (cells[1][1] - cells[0][0]) - target < 0.0
+
+    skip = None if spec.closed_form else below_level
     try:
-        bracket = below and numerics.bracket_roots(residual, *below, 2.0)
+        bracket = below and numerics.bracket_roots(residual, *below, 2.0, skip)
     except ConvergenceFailure:
         bracket = None
     if bracket:
         energy = numerics._refine(residual, bracket, tol, shared.e_hi - shared.e_lo)
     else:
-        energy = numerics.solve_self_consistent(residual, shared.e_lo, shared.e_hi, tol)
+        energy = numerics.solve_self_consistent(residual, shared.e_lo, shared.e_hi, tol, skip)
     return energy, turning_points(spec, energy, units, shared.tp_tol, shared.table), m1 * math.sqrt(energy)
 
 

@@ -844,3 +844,48 @@ def test_import_loads_no_numpy_submodule_beyond_numpy():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+_SKIP_SPECS = [  # the five expr-solve templates, then wells where the climb fails or skips oddly
+    "expr:0.671887*x^2;domain=-11.9606..11.9606",
+    "expr:1.44822*abs(x);domain=-20.2356..20.2356",
+    "expr:0.850961*x^4;domain=-4.7878..4.7878",
+    "expr:1.00498*(0.761016/x - x/0.761016)^2;domain=0.0..12.9188",
+    "expr:0.527658*x^2+1.18691/x^2;domain=0.0..18.0098",
+    "expr:x;domain=-40..40",
+    "expr:(x^2-4)^2;domain=-5..5",
+    "expr:0*x;domain=0..1",
+    "expr:x^2-0.1;domain=-3..3",
+]
+
+
+class TestClimbSkipOutputs:
+    """The climbs' `skip` changes no output: the CLI with it and with every
+    skip dropped gives the same bytes and exit code."""
+
+    @staticmethod
+    def _both(argv, capsys, monkeypatch):
+        skipping = run(argv, capsys)
+        climb = numerics.bracket_roots
+        monkeypatch.setattr(numerics, "bracket_roots", lambda g, lo, f_lo, step, growth, skip=None:
+                            climb(g, lo, f_lo, step, growth))
+        plain = run(argv, capsys)
+        monkeypatch.undo()
+        return skipping, plain
+
+    @pytest.mark.parametrize("spec", _SKIP_SPECS)
+    @pytest.mark.parametrize("levels", [["--n-max", "1", "--variant", "general"], ["--n-max", "3", "--variant", "all"]])
+    def test_solve(self, spec, levels, capsys, monkeypatch):
+        skipping, plain = self._both(["solve", "--potential", spec, *levels], capsys, monkeypatch)
+        assert skipping == plain
+
+    @pytest.mark.parametrize("spec", _SKIP_SPECS)
+    def test_wavefunction(self, spec, capsys, monkeypatch):
+        argv = ["wavefunction", "--potential", spec, "--n-max", "2", "--n", "2", "--samples", "9"]
+        skipping, plain = self._both(argv, capsys, monkeypatch)
+        assert skipping == plain
+
+    @pytest.mark.parametrize("spec", _SKIP_SPECS)
+    def test_compare(self, spec, capsys, monkeypatch):
+        skipping, plain = self._both(["compare", "--potential", spec, "--n-max", "2"], capsys, monkeypatch)
+        assert skipping == plain

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from turnpoint import numerics
+from turnpoint import numerics, potentials, solver
 from turnpoint.errors import (
     AmbiguousWells,
     ConvergenceFailure,
@@ -434,3 +434,124 @@ class TestClimb:
 
         b = numerics.bracket_roots(g, 0.0, math.nan, 0.01, 10.0)
         assert 0.4 <= b.lo < 0.6 <= b.hi < 1.11
+
+
+class TestClimbSkip:
+    """`bracket_roots` with `skip`: the points a cheap test proves below the
+    level are stepped over, and the result is the plain climb's."""
+
+    @staticmethod
+    def _counted(g):
+        calls = []
+
+        def counted(E):
+            calls.append(E)
+            return g(E)
+
+        return counted, calls
+
+    @pytest.mark.parametrize("lo, f_lo, step, growth", [(0.0, math.nan, 1e-9, 10.0), (0.5, -29.5, 0.75, 2.0)])
+    def test_gives_the_plain_climbs_bracket(self, lo, f_lo, step, growth):
+        def g(E):  # root near 13.03
+            return E * (1.0 + 0.1 * E) - 30.0
+
+        plain = numerics.bracket_roots(g, lo, f_lo, step, growth)
+        for bound in (1e-3, 1.0, 12.0, 13.0):
+            b = numerics.bracket_roots(g, lo, f_lo, step, growth, lambda E: E < bound)
+            assert (b.lo, b.hi, b.f_lo, b.f_hi) == (plain.lo, plain.hi, plain.f_lo, plain.f_hi)
+
+    def test_evaluates_no_skipped_point_but_the_last(self):
+        # plain points 1, 3, 7, 15, 31: 1, 3 and 7 skipped, g at 7, 15 and 31
+        g, calls = self._counted(lambda E: E - 20.0)
+        b = numerics.bracket_roots(g, 0.0, -20.0, 1.0, 2.0, lambda E: E < 10.0)
+        assert calls == [7.0, 15.0, 31.0]
+        assert (b.lo, b.hi, b.f_lo, b.f_hi) == (15.0, 31.0, -5.0, 11.0)
+
+    def test_a_climb_that_fails_after_skipping_fails_as_the_plain_one(self):
+        def g(E):
+            if E > 40.0:
+                raise NoBoundRegion("found 0 turning point(s)")
+            return -1.0
+
+        with pytest.raises(ConvergenceFailure) as plain:
+            numerics.bracket_roots(g, 0.0, math.nan, 1.0, 2.0)
+        counted, calls = self._counted(g)
+        with pytest.raises(ConvergenceFailure) as skipped:
+            numerics.bracket_roots(counted, 0.0, math.nan, 1.0, 2.0, lambda E: E < 20.0)
+        assert str(skipped.value) == str(plain.value)
+        # 1, 3, 7 and 15 skipped; g at 15, the 56 points left, then the plain climb's 60
+        assert calls[0] == 15.0 and len(calls) == 1 + 56 + 60 and calls[57:60] == [1.0, 3.0, 7.0]
+
+    def test_a_skip_through_all_60_points_fails_as_the_plain_climb(self):
+        with pytest.raises(ConvergenceFailure) as plain:
+            numerics.bracket_roots(lambda E: -1.0, 0.0, -1.0, 1.0, 2.0)
+        with pytest.raises(ConvergenceFailure) as skipped:
+            numerics.bracket_roots(lambda E: -1.0, 0.0, -1.0, 1.0, 2.0, lambda E: True)
+        assert str(skipped.value) == str(plain.value)
+
+    @pytest.mark.parametrize("bad", [-math.inf, math.nan, "raise"])
+    def test_a_resume_point_that_is_no_finite_negative_g_climbs_plainly(self, bad):
+        # g is not evaluable below 0.5, where skip holds (at 0.01 and 0.11):
+        # g at the resume point 0.11 is no finite value < 0
+        def g(E):
+            if E < 0.5:
+                if bad == "raise":
+                    raise NoBoundRegion("found 1 turning point(s)")
+                return bad
+            return E - 30.0
+
+        plain = numerics.bracket_roots(g, 0.0, math.nan, 0.01, 10.0)
+        counted, calls = self._counted(g)
+        b = numerics.bracket_roots(counted, 0.0, math.nan, 0.01, 10.0, lambda E: E < 0.5)
+        assert (b.lo, b.hi, b.f_lo, b.f_hi) == (plain.lo, plain.hi, plain.f_lo, plain.f_hi)
+        assert calls[:3] == [0.11, 0.01, 0.11]  # the resume point, then the plain climb from 0
+
+    def test_a_skip_that_never_holds_climbs_once(self):
+        g, calls = self._counted(lambda E: E - 5.0)
+        b = numerics.bracket_roots(g, 0.0, -5.0, 1.0, 2.0, lambda E: False)
+        assert (b.lo, b.hi) == (3.0, 7.0) and calls == [1.0, 3.0, 7.0]
+
+
+class TestSolverSkip:
+    """The solver's `skip` for an expression's climbs, read off its U table."""
+
+    @staticmethod
+    def _skips(monkeypatch, solve):
+        seen = []
+        climb = numerics.bracket_roots
+
+        def spy(g, lo, f_lo, step, growth, skip=None):
+            seen.append(skip)
+            return climb(g, lo, f_lo, step, growth, skip)
+
+        monkeypatch.setattr(numerics, "bracket_roots", spy)
+        solve()
+        return seen
+
+    def test_is_false_at_and_below_zero(self, monkeypatch):
+        # U = x^2 - 0.1: the climb starts below 0, where math.sqrt(E) raises
+        spec = potentials.parse_potential_spec("expr:x^2-0.1;domain=-3..3")
+        (skip,) = self._skips(monkeypatch, lambda: solver.ground_state_energy(spec))
+        assert not skip(0.0) and not skip(-0.0) and not skip(-0.05)
+        assert skip(1e-6)
+
+    def test_holds_only_where_the_residual_is_below_zero(self, monkeypatch):
+        spec = potentials.parse_potential_spec("expr:0.5*x^2;domain=-12..12")
+        (skip,) = self._skips(monkeypatch, lambda: solver.ground_state_energy(spec))
+        shared = solver._Shared(spec, potentials.UnitSystem(), Tolerances())
+        energies = [10.0 ** k for k in range(-9, 1)] + [0.3, 0.45, 0.49, 0.5, 0.6]
+        held = [E for E in energies if skip(E)]
+        assert held and max(held) < 0.5  # the ground level is 0.5
+        for E in held:
+            d = solver.turning_points(spec, E, tol=shared.tp_tol, _table=shared.table).d
+            assert math.sqrt(2.0 * E) * d - 2.0 < 0.0
+
+    def test_closed_form_wells_get_none(self, monkeypatch):
+        spec = potentials.HarmonicOscillator(omega=1.0)
+
+        def solve():
+            ground = solver.ground_state_energy(spec)
+            f_below = math.sqrt(2.0 * ground.energy) * ground.tp.d - math.pi
+            solver.excited_energy(spec, solver.LevelSpec(1), _below=(ground.energy, f_below, 0.5))
+
+        assert self._skips(monkeypatch, solve) == [None, None]

@@ -1,14 +1,15 @@
 """Energy levels, S-integral, wavefunction construction and normalization."""
 
+import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from turnpoint import numerics, potentials, solver
+from turnpoint import cli, numerics, potentials, solver
 from turnpoint.errors import ConvergenceFailure, InvalidEnergy, InvalidInput, InvalidLevel, NoBoundRegion, TurnpointError
 from turnpoint.potentials import (
     HarmonicOscillator,
@@ -396,7 +397,8 @@ def _scan(f, lo, hi, n):
 
 
 def _key(brackets):
-    return [(b.lo.hex(), b.hi.hex(), b.f_lo.hex(), b.f_hi.hex()) for b in brackets]
+    """Bit patterns of brackets or of `_UTable.cells`' tuples of their fields."""
+    return [tuple(v.hex() for v in (astuple(b) if isinstance(b, numerics.Bracket) else b)) for b in brackets]
 
 
 class TestUTable:
@@ -407,7 +409,7 @@ class TestUTable:
         table = solver._UTable(spec, U)
         for E, n in steps:
             fresh = _scan(lambda x: E - potentials.evaluate(spec, x, U), lo, hi, n)
-            assert _key(table.brackets(E, n)) == _key(fresh)
+            assert _key(table.cells(E, n)) == _key(fresh)
 
     @settings(max_examples=300, deadline=None)
     @given(columns())
@@ -420,7 +422,7 @@ class TestUTable:
         for E in energies:
             with np.errstate(all="ignore"):
                 rule = numerics.sign_changes(xs, E - np.array(u))
-            assert _key(table.brackets(E, len(u) - 1)) == _key(rule)
+            assert _key(table.cells(E, len(u) - 1)) == _key(rule)
 
     def test_grid_points_past_overflow_are_evaluated_again(self):
         # hi * i overflows on the 513-point grid from i = 200 on, where the
@@ -433,24 +435,35 @@ class TestUTable:
         table = solver._UTable(spec, U)
         for n in (256, 512, 256):
             fresh = _scan(lambda x: -potentials.evaluate(spec, x, U), 0.0, hi, n)
-            assert _key(table.brackets(0.0, n)) == _key(fresh)
+            assert _key(table.cells(0.0, n)) == _key(fresh)
 
     @pytest.mark.parametrize("source", ["expr:0.5*x^2;domain=-12..12", "step:u0=1"])
     def test_each_grid_is_evaluated_by_one_call_of_its_own_points(self, source, monkeypatch):
         spec = parse_potential_spec(source)
         sizes = []
-        evaluate_grid = type(spec).evaluate_grid
+        # an expression's 257- and 513-point grids are read off its one tabulation
+        want = [513, 4097] if spec.kind == "expr" else [257, 513, 4097]
+        if spec.kind == "expr":  # its tabulation and `evaluate_grid` both go through `compiled_grid`
+            grid = spec.compiled_grid
 
-        def counted(self, xs, units):
-            sizes.append(len(xs))
-            return evaluate_grid(self, xs, units)
+            def counted_grid(xs):
+                sizes.append(len(xs))
+                return grid(xs)
 
-        monkeypatch.setattr(type(spec), "evaluate_grid", counted)
+            object.__setattr__(spec, "compiled_grid", counted_grid)
+        else:
+            evaluate_grid = type(spec).evaluate_grid
+
+            def counted(self, xs, units):
+                sizes.append(len(xs))
+                return evaluate_grid(self, xs, units)
+
+            monkeypatch.setattr(type(spec), "evaluate_grid", counted)
         table = solver._UTable(spec, U)
         for E in (0.5, 3.0, 80.0, 0.5):
             for n in (256, 512, 4096):
-                table.brackets(E, n)
-        assert sizes == [257, 513, 4097]
+                table.cells(E, n)
+        assert sizes == want
 
     def test_roadmap_ground_case_stays_under_3000_u_evaluations(self, monkeypatch):
         calls = [0]
@@ -472,6 +485,15 @@ class TestUTable:
         gs = solver.ground_state_energy(spec, U)
         assert gs.energy == pytest.approx(0.5, abs=1e-8)
         assert calls[0] <= 3_000
+
+    def test_roadmap_case_makes_at_most_150_pointwise_u_evaluations(self, monkeypatch, capsys):
+        # the climb's energies below the ground level are proven so by the U
+        # table and solve no turning points; the rest are Brent's refinement
+        calls = _counting(monkeypatch, potentials, "evaluate")
+        argv = ["solve", "--potential", "expr:0.5*x^2;domain=-12..12", "--n-max", "1", "--variant", "general"]
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["ground_state"]["energy"] == pytest.approx(0.5, abs=1e-8)
+        assert calls[0] <= 150
 
 
 @pytest.mark.parametrize("spec", [
