@@ -24,12 +24,11 @@ import numpy as np
 
 from . import reference, scattering, solver
 from .errors import (
+    CONVERGENCE_ERRORS,
     ConvergenceFailure,
     ExpressionSyntaxError,
     InvalidInput,
     InvalidRegion,
-    MaxIterationsExceeded,
-    QuadratureDivergence,
     SpecParseError,
     TurnpointError,
 )
@@ -45,7 +44,6 @@ EXIT_INVALID = 4
 MAX_SAMPLES = 1_000_000
 
 _PARSE_ERRORS = (SpecParseError, ExpressionSyntaxError)
-_CONVERGENCE_ERRORS = (ConvergenceFailure, QuadratureDivergence, MaxIterationsExceeded)
 
 
 @dataclass
@@ -483,7 +481,7 @@ def main(argv: list[str] | None = None) -> int:
     except _PARSE_ERRORS as exc:
         print(f"turnpoint: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except _CONVERGENCE_ERRORS as exc:
+    except CONVERGENCE_ERRORS as exc:
         print(f"turnpoint: convergence failure: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
     except TurnpointError as exc:

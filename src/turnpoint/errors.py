@@ -75,3 +75,7 @@ class ConvergenceFailure(TurnpointError):
 
 class DegenerateNorm(TurnpointError):
     """Wavefunction norm integral too small to normalize."""
+
+
+# the failures of a search or an integral, as against inadmissible input
+CONVERGENCE_ERRORS = (ConvergenceFailure, QuadratureDivergence, MaxIterationsExceeded)

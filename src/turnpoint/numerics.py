@@ -18,6 +18,7 @@ below the level until the residual turns, and halve once they overshoot
 the points where it can be evaluated. A caller that can prove the residual
 negative more cheaply than evaluating it passes that test, and the search
 steps over the points it proves without evaluating the residual there.
+A level is one search, and a failed one names the window it searched.
 
 Every integral (S, Q, the norm) is one globally adaptive Gauss-Kronrod 7-15
 rule, `integrate`: open nodes need no code for walls or endpoint
@@ -273,38 +274,34 @@ def bracket_roots(
     finite g < 0 it stops the climb (the climb overshot the rim), as does a
     first finite g >= 0 (the level may sit just above the bottom): from
     then on each step is half the last, so the points close in on the stop.
-    ConvergenceFailure after 60 points; its message counts the skipped
-    points by cause.
+    ConvergenceFailure after 60 points; its message names the window from
+    lo to the highest point and counts, by cause, the points where g was
+    evaluated and was not finite or raised.
 
     `skip`, where given, is a cheap test that holds only where g < 0 or g
     is not evaluable. The climb steps over the points where it holds, from
     the first on, without calling g, evaluates g at the last of them and
-    climbs on from there with the points left. If g there is not finite
-    and < 0, or that climb fails, it climbs again from lo without `skip`.
-    Every failure is the plain climb's, and so is the bracket, unless g is
-    not evaluable at a point stepped over that lies above a finite g (or
-    with f_lo finite), where the plain climb would have stopped; on a single
-    well, where d(E) only grows, only a raise inside a turning-point
-    refinement does that.
+    climbs on from there with the points left; only if g there is not
+    finite and < 0 does it start again from lo without `skip`. The bracket
+    is the plain climb's, unless g is not evaluable at a point stepped over
+    that lies above a finite g (or with f_lo finite), where the plain climb
+    would have stopped; on a single well, where d(E) only grows, only a
+    raise inside a turning-point refinement does that.
     """
-    if skip is not None:
-        x, s, tried = lo, step, 0
-        while tried < _CLIMB_STEPS and skip(x + s):
-            x, s, tried = x + s, s * growth, tried + 1
-        if tried:
-            try:
-                f = g(x)
-                if f < 0.0 and math.isfinite(f):
-                    return _climb(g, x, f, s, growth, tried)
-            except _EVAL_ERRORS:  # a ConvergenceFailure of that climb too
-                pass
-    return _climb(g, lo, f_lo, step, growth, 0)
-
-
-def _climb(g: Callable[[float], float], lo: float, f_lo: float, step: float, growth: float, tried: int) -> Bracket:
-    """`bracket_roots` from its point number `tried`, where it stands at lo."""
-    start, top, stopped, causes = lo, lo, False, {}
-    for tried in range(tried + 1, _CLIMB_STEPS + 1):
+    start, x, s, tried = lo, lo, step, 0
+    while skip is not None and tried < _CLIMB_STEPS and skip(x + s):
+        x, s, tried = x + s, s * growth, tried + 1
+    if tried:
+        try:
+            f = g(x)
+        except _EVAL_ERRORS:
+            f = math.nan
+        if -math.inf < f < 0.0:  # False for NaN
+            lo, f_lo, step = x, f, s
+        else:
+            tried = 0
+    top, stopped, causes = lo, False, {}
+    for _ in range(tried, _CLIMB_STEPS):
         x = lo + step
         top = max(top, x)
         try:
@@ -326,7 +323,7 @@ def _climb(g: Callable[[float], float], lo: float, f_lo: float, step: float, gro
                 stopped = True
         step *= 0.5 if stopped else growth
     details = ", ".join(f"{count} for {name} ({first})" for name, (count, first) in causes.items())
-    skipped = f"; the climb skipped {sum(c for c, _ in causes.values())} of its {tried} energies: {details}"
+    skipped = f"; the climb skipped {sum(c for c, _ in causes.values())} of its {_CLIMB_STEPS} energies: {details}"
     raise ConvergenceFailure(f"no sign change of the residual on [{start}, {top}]" + (skipped if causes else ""))
 
 

@@ -14,7 +14,8 @@ contract). Every bracket comes from one upward search,
 energy window by tenfold steps (`numerics.solve_self_consistent`). A
 spectrum solve (`_solve_spectrum`) does so for the lowest level only, and
 climbs to each level above it from the level below, by doubling steps of
-the last gap.
+the last gap. Each level makes that one climb: where it fails, the level
+fails with its message.
 
 Wells without closed-form turning points (expressions, the step) find them
 from sign changes of E - U(x) on a grid. U does not depend on E, so a
@@ -37,10 +38,12 @@ import numpy as np
 
 from . import numerics, potentials
 from .errors import (
+    CONVERGENCE_ERRORS,
     AmbiguousWells,
     ConvergenceFailure,
     DegenerateNorm,
     InvalidEnergy,
+    InvalidInput,
     InvalidLevel,
     InvalidRegion,
     NoBoundRegion,
@@ -230,6 +233,8 @@ class _Shared:
     turning-point tolerance, far below energy_rel, as residuals inherit it."""
 
     def __init__(self, spec: PotentialSpec, units: UnitSystem, tol: Tolerances):
+        if not math.isfinite(units.m1):  # every residual would be inf
+            raise InvalidInput(f"sqrt(2 m)/hbar overflows for hbar={units.hbar} and mass={units.mass}")
         self.table = _UTable(spec, units)
         self.tp_tol = replace(tol, root_abs=min(tol.root_abs, 1e-14), root_rel=min(tol.root_rel, tol.energy_rel * 1e-3))
         floor, scale = potentials.u_min(spec), spec.energy_scale(units)
@@ -268,8 +273,10 @@ def _rung(
     shared: _Shared | None, below: tuple[float, float, float] | None,
 ) -> tuple[float, TurningPoints, float]:
     """(E, turning points, K) at the root of K(E) * d(E) = target, the level
-    equation of every rung; with `below` = (E', residual at E', step) for a
-    level E' below it, bracketed upward from E' first, else from e_lo."""
+    equation of every rung, by one climb: with `below` = (E', residual at E',
+    step) for a level E' below it, upward from E', else from e_lo. A
+    residual that the bracket's refinement cannot evaluate fails the solve
+    with a ConvergenceFailure naming its cause, as it would in the climb."""
     units = units or UnitSystem()
     tol = tol or Tolerances()
     shared = shared or _Shared(spec, units, tol)
@@ -291,14 +298,16 @@ def _rung(
         return len(cells) == 2 and m1 * math.sqrt(E) * (cells[1][1] - cells[0][0]) - target < 0.0
 
     skip = None if spec.closed_form else below_level
-    try:
-        bracket = below and numerics.bracket_roots(residual, *below, 2.0, skip)
-    except ConvergenceFailure:
-        bracket = None
-    if bracket:
-        energy = numerics._refine(residual, bracket, tol, shared.e_hi - shared.e_lo)
-    else:
-        energy = numerics.solve_self_consistent(residual, shared.e_lo, shared.e_hi, tol, skip)
+    try:  # the climb itself raises only ConvergenceFailure
+        if below is None:
+            energy = numerics.solve_self_consistent(residual, shared.e_lo, shared.e_hi, tol, skip)
+        else:
+            bracket = numerics.bracket_roots(residual, *below, 2.0, skip)
+            energy = numerics._refine(residual, bracket, tol, shared.e_hi - shared.e_lo)
+    except CONVERGENCE_ERRORS:
+        raise
+    except numerics._EVAL_ERRORS as exc:
+        raise ConvergenceFailure(f"refining the level's bracket raised {type(exc).__name__} ({exc})") from None
     return energy, turning_points(spec, energy, units, shared.tp_tol, shared.table), m1 * math.sqrt(energy)
 
 

@@ -142,12 +142,32 @@ class TestSolve:
         monkeypatch.setattr(numerics, "solve_self_consistent", counted)
         argv = ["--n-max", "5", "--variant", "all"]
         got = run_json(["solve", "--potential", "expr:0.5*x^2;domain=-4..4", *argv], capsys)
-        assert calls[0] == 1  # the ground level only: no level fell back to the search from E_lo
+        assert calls[0] == 1  # the ground level only: every level above it climbs from the one below
         want = run_json(["solve", "--potential", "sho:omega=1", *argv], capsys)
         top = [(a, b) for a, b in zip(got["levels"], want["levels"]) if a["variant"] == "antisymmetric" and a["n"] == 5]
         assert len(top) == 1 and top[0][0]["energy"] == pytest.approx(7.853981634, rel=1e-10)
         for a, b in zip(got["levels"], want["levels"]):
             assert a["energy"] == pytest.approx(b["energy"], rel=1e-10)
+
+    def test_a_level_above_the_rim_climbs_once_from_the_level_below(self, capsys, monkeypatch):
+        # U(+-2) = 2 lies between q = 2 at pi/2 and q = 3 at 3 pi/4: the climb from
+        # q = 2 steps past the rim, where there are no turning points, and fails
+        spec = "expr:0.5*x^2;domain=-2..2"
+        below = run_json(["solve", "--potential", spec, "--n-max", "2", "--variant", "general"], capsys)
+        starts = []
+        climb = numerics.bracket_roots
+
+        def spy(g, lo, *args):
+            starts.append(lo)
+            return climb(g, lo, *args)
+
+        monkeypatch.setattr(numerics, "bracket_roots", spy)
+        code, out, err = run(["solve", "--potential", spec, "--n-max", "5", "--variant", "general"], capsys)
+        assert (code, out) == (3, "")
+        levels = [below["ground_state"]["energy"], *(lv["energy"] for lv in below["levels"])]
+        assert starts[1:] == levels  # e_lo, then one climb from each level below q = 3
+        assert err.startswith(f"turnpoint: convergence failure: no sign change of the residual on [{levels[-1]!r}, ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
         ["axb:a=7.63e+17,b=1.495e-13", "--n-max", "3", "--variant", "symmetric"],
@@ -606,6 +626,27 @@ class TestExitCodes:
         assert err.startswith("turnpoint: convergence failure: no sign change of the residual")
         assert "41 for AmbiguousWells (found 4 turning points at E=6.08025" in err
         assert err.count("\n") == 1
+
+    def test_a_refinement_that_meets_four_turning_points_is_3(self, capsys):
+        # the climb brackets the level; Brent's refinement inside that bracket
+        # reaches an energy with four turning points, which the climb steps over
+        spec = "expr:0.9502*x^2+0.541*sin(5*x);domain=-7.3869..7.3869"
+        code, out, err = run(["solve", "--potential", spec, "--n-max", "1", "--variant", "symmetric"], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith(
+            "turnpoint: convergence failure: refining the level's bracket raised AmbiguousWells (found 4 turning points at E="
+        )
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["solve", "compare", "wavefunction"])
+    @pytest.mark.parametrize("units, named", [
+        (["--hbar", "1e-310"], "hbar=1e-310 and mass=1.0"),
+        (["--mass", "1e308"], "hbar=1.0 and mass=1e+308"),
+    ])
+    def test_a_wavenumber_scale_that_overflows_is_4(self, command, units, named, capsys):
+        code, out, err = run([command, "--potential", "isw:L=1", *units], capsys)
+        assert (code, out) == (4, "")
+        assert err == f"turnpoint: invalid input: sqrt(2 m)/hbar overflows for {named}\n"
 
     def test_negative_u_under_the_root_is_4(self, capsys):
         # U = x^2 - 0.1 dips below 0 inside the well, where Q takes sqrt(U)

@@ -134,6 +134,16 @@ class TestStepHasNoLevels:
             solve(potentials.Step(u0=1.0))
 
 
+def test_a_wavenumber_scale_that_overflows_is_refused_before_any_scan(monkeypatch):
+    # sqrt(2 m)/hbar is inf: every residual would be inf, and every climb would fail
+    def fail(*args, **kwargs):
+        raise AssertionError("climbed with an infinite sqrt(2 m)/hbar")
+
+    monkeypatch.setattr(numerics, "bracket_roots", fail)
+    with pytest.raises(InvalidInput, match=r"^sqrt\(2 m\)/hbar overflows for hbar=1e-310 and mass=1.0$"):
+        solver.ground_state_energy(InfiniteSquareWell(L=1.0), UnitSystem(hbar=1e-310))
+
+
 class TestGroundState:
     @pytest.mark.parametrize(
         "spec,expected",
